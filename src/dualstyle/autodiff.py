@@ -188,9 +188,8 @@ def tanh(a) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument cannot overflow
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # the tanh form cannot overflow and costs one transcendental call
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid(a) -> Tensor:
@@ -276,27 +275,17 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _record(out, tuple(parts), vjp)
 
 
-def stack(parts, axis: int = 1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.stack([p.value for p in parts], axis=axis)
-
-    def vjp(g):
-        for i, p in enumerate(parts):
-            if not p.constant:
-                _acc(p, np.take(g, i, axis=axis))
-
-    return _record(out, tuple(parts), vjp)
-
-
-def slice_cols(a, lo: int, hi: int) -> Tensor:
+def take(a, index) -> Tensor:
+    """Basic-index view ``a[index]`` (slices and integers, no fancy index)."""
     a = as_tensor(a)
-    out = a.value[:, lo:hi]
+    out = a.value[index]
 
     def vjp(g):
-        if a.grad is None and not a.constant:
+        if a.constant:
+            return
+        if a.grad is None:
             a.grad = np.zeros_like(a.value)
-        if not a.constant:
-            a.grad[:, lo:hi] += g
+        a.grad[index] += g
 
     return _record(out, (a,), vjp)
 
@@ -358,20 +347,26 @@ def masked_mean(a, mask) -> Tensor:
 
 
 def cross_entropy(logits, targets) -> Tensor:
-    """Per-row negative log-likelihood of integer targets; shape (B,)."""
+    """Negative log-likelihood of integer targets over the last axis.
+
+    ``logits`` is (..., V) and ``targets`` the matching (...) int array; the
+    output has the targets' shape.
+    """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
     shifted = logits.value - logits.value.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
-    rows = np.arange(logits.value.shape[0])
-    out = -logp[rows, targets]
-    probs = np.exp(logp)
+    logp = (shifted - lse).reshape(targets.size, -1)
+    rows = np.arange(targets.size)
+    flat_t = targets.reshape(-1)
+    out = -logp[rows, flat_t].reshape(targets.shape)
 
     def vjp(g):
-        d = probs * g[:, None]
-        d[rows, targets] -= g
-        _acc(logits, d)
+        flat_g = g.reshape(-1)
+        d = np.exp(logp)
+        d *= flat_g[:, None]
+        d[rows, flat_t] -= flat_g
+        _acc(logits, d.reshape(logits.value.shape))
 
     return _record(out, (logits,), vjp)
 
@@ -452,23 +447,25 @@ def mix_rows(weights, values) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused primitives
 #
-# Semantically these are compositions of the ops above; they exist so a
-# recurrent step costs a handful of tape nodes instead of dozens.  Each has a
+# Semantically these are compositions of the ops above; each has a
 # hand-written backward rule and is covered by grad_check like any primitive.
+# The recurrent ones take a whole sequence: ``lstm_cell`` runs every time
+# step in one node and ``bilinear_attention`` scores every query step at once,
+# so a teacher-forced pass records a fixed number of nodes whatever its
+# length.  Time-invariant work then happens once over all B*T rows: the
+# weight gradients are single GEMMs after the backward-through-time loop
+# (the hoisting of Appleyard et al. 2016, arXiv:1604.01946).  ``affine`` and
+# ``tanh_affine`` take any (..., D) input and treat the leading axes as rows.
 # ---------------------------------------------------------------------------
 
 def affine(a, w, b) -> Tensor:
     """a @ w + b in one node."""
     a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
-    out = a.value @ w.value + b.value
+    out = _matmul_rows(a.value, w.value)
+    out += b.value
 
     def vjp(g):
-        if not a.constant:
-            _acc(a, g @ w.value.T)
-        if not w.constant:
-            _acc(w, a.value.T @ g)
-        if not b.constant:
-            _acc(b, g.sum(axis=0))
+        _affine_vjp(a, w, b, g)
 
     return _record(out, (a, w, b), vjp)
 
@@ -476,119 +473,166 @@ def affine(a, w, b) -> Tensor:
 def tanh_affine(a, w, b) -> Tensor:
     """tanh(a @ w + b) in one node."""
     a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
-    out = np.tanh(a.value @ w.value + b.value)
+    out = _matmul_rows(a.value, w.value)
+    out += b.value
+    np.tanh(out, out=out)
 
     def vjp(g):
-        gz = g * (1.0 - out * out)
-        if not a.constant:
-            _acc(a, gz @ w.value.T)
-        if not w.constant:
-            _acc(w, a.value.T @ gz)
-        if not b.constant:
-            _acc(b, gz.sum(axis=0))
+        _affine_vjp(a, w, b, g * (1.0 - out * out))
 
     return _record(out, (a, w, b), vjp)
 
 
-def lerp_rows(mask, new, prev) -> Tensor:
-    """mask * new + (1 - mask) * prev with a constant 0/1 column mask."""
-    new, prev = as_tensor(new), as_tensor(prev)
-    m = np.asarray(mask, dtype=np.float64)
-    out = m * new.value + (1.0 - m) * prev.value
+def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w as one GEMM with all leading axes of ``a`` as rows.
 
-    def vjp(g):
-        if not new.constant:
-            _acc(new, g * m)
-        if not prev.constant:
-            _acc(prev, g * (1.0 - m))
-
-    return _record(out, (new, prev), vjp)
+    A plain ``@`` on a (B, T, D) array runs B separate small products.
+    """
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + w.shape[1:])
 
 
-def lstm_cell(x, hc, wx, wh, b) -> Tensor:
-    """One gated recurrent step; state rides as a single (B, 2H) array.
+def _affine_vjp(a: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
+    """Backward of z = a @ w + b with all leading axes of ``a`` as rows."""
+    gz_rows = gz.reshape(-1, gz.shape[-1])
+    if not a.constant:
+        _acc(a, _matmul_rows(gz, w.value.T))
+    if not w.constant:
+        _acc(w, a.value.reshape(-1, a.value.shape[-1]).T @ gz_rows)
+    if not b.constant:
+        _acc(b, gz_rows.sum(axis=0))
 
-    Input ``hc`` is [h | c]; the output is [h' | c'].  Gate order in the
-    preactivation is (input, forget, output, candidate).
+
+def lstm_cell(x, hc, wx, wh, b, mask=None) -> Tensor:
+    """LSTM recurrence over a whole sequence in one node.
+
+    ``x`` is (B, T, E) and ``hc`` the initial state [h | c] of shape (B, 2H);
+    the output stacks the state after every step, (B, T, 2H).  Gate order in
+    the preactivation is (input, forget, output, candidate).  ``mask`` is an
+    optional constant (B, T) 0/1 array: where it is 0 the step is skipped and
+    the previous state carries through.  A (B, E) ``x`` is a single step and
+    returns (B, 2H).
     """
     x, hc, wx, wh, b = (as_tensor(t) for t in (x, hc, wx, wh, b))
+    seq = x.value.ndim == 3
+    xs = x.value if seq else x.value[:, None, :]
+    batch, steps, _ = xs.shape
     hd = hc.value.shape[1] // 2
-    h_prev = hc.value[:, :hd]
-    c_prev = hc.value[:, hd:]
-    gates = x.value @ wx.value
-    gates += h_prev @ wh.value
-    gates += b.value
-    sig = _sigmoid_values(gates[:, : 3 * hd])
-    gi, gf, go = sig[:, :hd], sig[:, hd: 2 * hd], sig[:, 2 * hd:]
-    gu = np.tanh(gates[:, 3 * hd:])
-    out = np.empty_like(hc.value)
-    c_new = out[:, hd:]
-    np.multiply(gf, c_prev, out=c_new)
-    c_new += gi * gu
-    tc = np.tanh(c_new)
-    np.multiply(go, tc, out=out[:, :hd])
+    skip = None if mask is None else ~np.asarray(mask, dtype=bool)
+    out = np.empty((batch, steps, 2 * hd))
+    # Activations are kept for the backward only while a tape records.
+    taped = bool(_TAPE_STACK)
+    if taped:
+        acts = np.empty((batch, steps, 4 * hd))
+        tcs = np.empty((batch, steps, hd))
+    prev = hc.value
+    for t in range(steps):
+        gates = xs[:, t] @ wx.value
+        gates += prev[:, :hd] @ wh.value
+        gates += b.value
+        # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for the three gates
+        gates[:, : 3 * hd] *= 0.5
+        act = acts[:, t] if taped else gates
+        np.tanh(gates, out=act)
+        act[:, : 3 * hd] += 1.0
+        act[:, : 3 * hd] *= 0.5
+        gi, gf, go, gu = (act[:, k * hd: (k + 1) * hd] for k in range(4))
+        state = out[:, t]
+        np.multiply(gf, prev[:, hd:], out=state[:, hd:])
+        state[:, hd:] += gi * gu
+        tc = tcs[:, t] if taped else np.empty((batch, hd))
+        np.tanh(state[:, hd:], out=tc)
+        np.multiply(go, tc, out=state[:, :hd])
+        if skip is not None:
+            np.copyto(state, prev, where=skip[:, t, None])
+        prev = state
 
     def vjp(g):
-        dh = g[:, :hd]
-        dc = 1.0 - tc * tc
-        dc *= dh * go
-        dc += g[:, hd:]
-        dgates = np.empty_like(gates)
-        np.multiply(dc, gu, out=dgates[:, :hd])
-        dgates[:, :hd] *= gi * (1.0 - gi)
-        np.multiply(dc, c_prev, out=dgates[:, hd: 2 * hd])
-        dgates[:, hd: 2 * hd] *= gf * (1.0 - gf)
-        np.multiply(dh, tc, out=dgates[:, 2 * hd: 3 * hd])
-        dgates[:, 2 * hd: 3 * hd] *= go * (1.0 - go)
-        np.multiply(dc, gi, out=dgates[:, 3 * hd:])
-        dgates[:, 3 * hd:] *= 1.0 - gu * gu
+        g = g if seq else g[:, None, :]
+        dgates = np.empty((batch, steps, 4 * hd))
+        dh_next = np.zeros((batch, hd))
+        dc_next = np.zeros((batch, hd))
+        for t in reversed(range(steps)):
+            gi, gf, go, gu = (acts[:, t, k * hd: (k + 1) * hd] for k in range(4))
+            tc = tcs[:, t]
+            c_prev = hc.value[:, hd:] if t == 0 else out[:, t - 1, hd:]
+            dh = g[:, t, :hd] + dh_next
+            dc_out = g[:, t, hd:] + dc_next
+            if skip is not None:
+                # a skipped step hands its gradient straight to the previous state
+                s = skip[:, t, None]
+                dh_skip, dc_skip = np.where(s, dh, 0.0), np.where(s, dc_out, 0.0)
+                dh, dc_out = np.where(s, 0.0, dh), np.where(s, 0.0, dc_out)
+            dc = 1.0 - tc * tc
+            dc *= dh * go
+            dc += dc_out
+            dg = dgates[:, t]
+            np.multiply(dc, gu, out=dg[:, :hd])
+            dg[:, :hd] *= gi * (1.0 - gi)
+            np.multiply(dc, c_prev, out=dg[:, hd: 2 * hd])
+            dg[:, hd: 2 * hd] *= gf * (1.0 - gf)
+            np.multiply(dh, tc, out=dg[:, 2 * hd: 3 * hd])
+            dg[:, 2 * hd: 3 * hd] *= go * (1.0 - go)
+            np.multiply(dc, gi, out=dg[:, 3 * hd:])
+            dg[:, 3 * hd:] *= 1.0 - gu * gu
+            if t == 0 and hc.constant:
+                break
+            dh_next = dg @ wh.value.T
+            dc_next = dc * gf
+            if skip is not None:
+                dh_next += dh_skip
+                dc_next += dc_skip
+        rows = dgates.reshape(batch * steps, 4 * hd)
         if not x.constant:
-            _acc(x, dgates @ wx.value.T)
+            _acc(x, (rows @ wx.value.T).reshape(x.value.shape))
         if not hc.constant:
-            dhc = np.empty_like(hc.value)
-            np.matmul(dgates, wh.value.T, out=dhc[:, :hd])
-            np.multiply(dc, gf, out=dhc[:, hd:])
-            _acc(hc, dhc)
+            _acc(hc, np.concatenate([dh_next, dc_next], axis=1))
         if not wx.constant:
-            _acc(wx, x.value.T @ dgates)
+            _acc(wx, xs.reshape(batch * steps, -1).T @ rows)
         if not wh.constant:
-            _acc(wh, h_prev.T @ dgates)
+            h_prev = np.concatenate([hc.value[:, None, :hd], out[:, :-1, :hd]], axis=1)
+            _acc(wh, h_prev.reshape(batch * steps, hd).T @ rows)
         if not b.constant:
-            _acc(b, dgates.sum(axis=0))
+            _acc(b, rows.sum(axis=0))
 
-    return _record(out, (x, hc, wx, wh, b), vjp)
+    return _record(out if seq else out[:, 0], (x, hc, wx, wh, b), vjp)
 
 
 def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
     """Bilinear-scored soft attention: softmax((query@wa) . keys + bias) mix.
 
-    ``score_bias`` is a constant (B, T) array carrying the padding mask.
-    Returns the (B, H) context vector.
+    ``query`` is (B, Tq, H) and ``keys`` (B, T, H); ``score_bias`` is a
+    constant (B, T) array carrying the padding mask.  Returns the (B, Tq, H)
+    context vectors.  A (B, H) query is a single step and returns (B, H).
     """
     query, keys, wa = as_tensor(query), as_tensor(keys), as_tensor(wa)
-    bias = np.asarray(score_bias, dtype=np.float64)
-    q = query.value @ wa.value
-    scores = np.einsum("bh,bth->bt", q, keys.value) + bias
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    alpha = ex / ex.sum(axis=1, keepdims=True)
-    out = np.einsum("bt,bth->bh", alpha, keys.value)
+    seq = query.value.ndim == 3
+    qs = query.value if seq else query.value[:, None, :]
+    bias = np.asarray(score_bias, dtype=np.float64)[:, None, :]
+    keys_t = keys.value.transpose(0, 2, 1)
+    q = _matmul_rows(qs, wa.value)
+    scores = q @ keys_t
+    scores += bias
+    scores -= scores.max(axis=2, keepdims=True)
+    alpha = np.exp(scores)
+    alpha /= alpha.sum(axis=2, keepdims=True)
+    out = alpha @ keys.value
 
     def vjp(g):
-        dalpha = np.einsum("bh,bth->bt", g, keys.value)
-        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        dq = np.einsum("bt,bth->bh", dscores, keys.value)
+        g = g if seq else g[:, None, :]
+        dalpha = g @ keys_t
+        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
+        dq = dscores @ keys.value
         if not keys.constant:
-            # both rank-1 contributions as one batched (T,2)@(2,H) product
-            tw = np.stack([alpha, dscores], axis=2)
-            hh = np.stack([g, q], axis=1)
-            _acc(keys, np.matmul(tw, hh))
+            # both contributions as one batched (T, 2Tq) @ (2Tq, H) product
+            tw = np.concatenate([alpha, dscores], axis=1).transpose(0, 2, 1)
+            _acc(keys, tw @ np.concatenate([g, q], axis=1))
         if not query.constant:
-            _acc(query, dq @ wa.value.T)
+            _acc(query, _matmul_rows(dq, wa.value.T).reshape(query.value.shape))
         if not wa.constant:
-            _acc(wa, query.value.T @ dq)
+            hd = qs.shape[2]
+            _acc(wa, qs.reshape(-1, hd).T @ dq.reshape(-1, hd))
 
-    return _record(out, (query, keys, wa), vjp)
+    return _record(out if seq else out[:, 0], (query, keys, wa), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,8 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
     """Cross-entropy training on (sentence, style) pairs.
 
     Returns the best-dev-accuracy snapshot, already frozen, plus that
-    accuracy.  Falls back to the final epoch when there is no dev split.
+    accuracy.  With no dev split it returns the final epoch and an accuracy
+    of ``nan``, since there is nothing to measure it on.
     """
     cfg = cfg or ClassifierConfig()
     clf = TextClassifier(vocab, cfg)
@@ -182,6 +183,8 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
         clf.load_state_dict(best_state)
     elif dev_items:
         best_acc = 0.0
+    else:
+        best_acc = float("nan")
     clf.freeze()
     return clf, best_acc
 

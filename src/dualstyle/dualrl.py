@@ -354,7 +354,9 @@ _HISTORY_COLUMNS = ("iteration", "epoch", "mean_r_style", "mean_r_content",
 class _RunWriter:
     """history.csv / rewards.csv / checkpoints under one run directory."""
 
-    def __init__(self, run_dir, enabled_rewards: bool):
+    def __init__(self, run_dir, enabled_rewards: bool, resume_iteration: int | None = None):
+        """``resume_iteration`` continues rewards.csv from that checkpointed
+        iteration; history.csv is always rewritten from the saved history."""
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.enabled_rewards = enabled_rewards
         if self.run_dir is not None:
@@ -363,7 +365,12 @@ class _RunWriter:
             self.history_path.write_text(",".join(_HISTORY_COLUMNS) + "\n")
             if enabled_rewards:
                 self.rewards_path = self.run_dir / "rewards.csv"
-                self.rewards_path.write_text("iteration,mean_r_style,mean_r_content,mean_r_total\n")
+                lines = ["iteration,mean_r_style,mean_r_content,mean_r_total\n"]
+                if resume_iteration is not None and self.rewards_path.exists():
+                    # rows past the checkpoint were written by iterations that rerun
+                    kept = self.rewards_path.read_text(encoding="utf-8").splitlines(True)[1:]
+                    lines += [r for r in kept if int(r.split(",", 1)[0]) < resume_iteration]
+                self.rewards_path.write_text("".join(lines), encoding="utf-8")
 
     def history(self, row: dict) -> None:
         if self.run_dir is None:
@@ -463,7 +470,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         state = load_train_state(run_dir)
         start_epoch = state.epoch
 
-    writer = _RunWriter(run_dir, cfg.log_rewards)
+    writer = _RunWriter(run_dir, cfg.log_rewards, state.iteration if resume else None)
     for row in state.history:
         writer.history(row)
 

@@ -83,6 +83,13 @@ def combine(r_style: float, r_content: float, beta: float) -> float:
     return (1.0 + beta * beta) * r_content * r_style / denom
 
 
+def combine_batch(r_style: np.ndarray, r_content: np.ndarray, beta: float) -> np.ndarray:
+    """``combine`` over arrays, element by element, with the same zero rule."""
+    denom = beta * beta * r_content + r_style
+    num = (1.0 + beta * beta) * r_content * r_style
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
+
+
 def breakdown(r_style: float, r_content: float, beta: float) -> RewardBreakdown:
     return RewardBreakdown(r_style=r_style, r_content=r_content,
                            r_total=combine(r_style, r_content, beta))
@@ -124,10 +131,7 @@ def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
         vx = [xs[i] for i in valid]
         r_style[valid] = style_reward_batch(clf, vp, target)
         r_content[valid] = content_reward_any(back_model, vp, vx, cfg)
-    r_total = np.array([
-        combine(float(s), float(c), cfg.beta) for s, c in zip(r_style, r_content)
-    ])
-    return r_style, r_content, r_total
+    return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)
 
 
 def reward_trace_row(iteration: int, r_style: np.ndarray, r_content: np.ndarray,

@@ -1,9 +1,13 @@
 """Attention-based recurrent encoder-decoder used for both transfer directions.
 
-One ``Seq2Seq`` instance is one mapping model.  Scoring (``log_prob``),
-sampling and greedy/beam decoding share a single forward implementation, so a
-sample's reported log-probability always agrees with an independent
-``log_prob`` call on it.
+One ``Seq2Seq`` instance is one mapping model.  The encoder is one
+whole-sequence ``lstm_cell`` node.  With the target known (training and
+``log_prob`` scoring) the decoder is one too: the attention context never
+feeds back into the decoder LSTM, so attention and the output layer then run
+once over all B*T target steps.  Sampling and greedy/beam decoding feed each
+emitted token back and so step through the same ops one step at a time; the
+two paths share every layer, so a sample's reported log-probability agrees
+with an independent ``log_prob`` call on it.
 """
 
 from __future__ import annotations
@@ -72,61 +76,64 @@ class Seq2Seq:
         }
 
     # -- forward pieces ----------------------------------------------------
-    # Recurrent state travels as one (B, 2H) array [h | c] so a step is a
-    # single fused tape node.
+    # Recurrent state travels as one (B, 2H) array [h | c]; ``lstm_cell``
+    # returns that state after every step, (B, T, 2H).
 
     def _encode(self, src_ids: np.ndarray, src_mask: np.ndarray):
-        """Run the encoder; padded steps leave the state untouched."""
-        batch, src_len = src_ids.shape
-        p = self.params
-        hd = self.hidden_dim
-        hc = ad.constant(np.zeros((batch, 2 * hd)))
-        states = []
-        for t in range(src_len):
-            x = ad.embedding(p["embed"], src_ids[:, t])
-            hc_new = ad.lstm_cell(x, hc, p["enc_wx"], p["enc_wh"], p["enc_b"])
-            hc = ad.lerp_rows(src_mask[:, t: t + 1], hc_new, hc)
-            states.append(ad.slice_cols(hc, 0, hd))
-        enc_stack = ad.stack(states, axis=1)
-        attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
-        return enc_stack, attn_bias, hc
+        """Run the encoder; padded steps leave the state untouched.
 
-    def _decode_step(self, tok_ids: np.ndarray, hc, enc_stack, attn_bias):
+        Returns the attention keys (B, T, H), their score bias (B, T) and the
+        final state (B, 2H).
+        """
+        p = self.params
+        hc0 = ad.constant(np.zeros((src_ids.shape[0], 2 * self.hidden_dim)))
+        states = ad.lstm_cell(ad.embedding(p["embed"], src_ids), hc0,
+                              p["enc_wx"], p["enc_wh"], p["enc_b"], mask=src_mask)
+        keys = ad.take(states, np.s_[..., : self.hidden_dim])
+        attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
+        return keys, attn_bias, ad.take(states, np.s_[:, -1])
+
+    def _output_logits(self, states, keys, attn_bias):
+        """Attention and output layer over decoder states (..., 2H)."""
+        p = self.params
+        h = ad.take(states, np.s_[..., : self.hidden_dim])
+        # nested calls let untaped intermediates go as soon as they are used
+        h_ctx = ad.concat([h, ad.bilinear_attention(h, keys, attn_bias, p["att_w"])], axis=-1)
+        return ad.affine(ad.tanh_affine(h_ctx, p["comb_w"], p["comb_b"]),
+                         p["out_w"], p["out_b"])
+
+    def _decode_step(self, tok_ids: np.ndarray, hc, keys, attn_bias):
         p = self.params
         x = ad.embedding(p["embed"], tok_ids)
         hc = ad.lstm_cell(x, hc, p["dec_wx"], p["dec_wh"], p["dec_b"])
-        h = ad.slice_cols(hc, 0, self.hidden_dim)
-        ctx = ad.bilinear_attention(h, enc_stack, attn_bias, p["att_w"])
-        comb = ad.tanh_affine(ad.concat([h, ctx], axis=1), p["comb_w"], p["comb_b"])
-        logits = ad.affine(comb, p["out_w"], p["out_b"])
-        return logits, hc
+        return self._output_logits(hc, keys, attn_bias), hc
 
-    def _teacher_forced_nll(self, src_ids, src_mask, tgt_ids, tgt_mask,
-                            row_weights: np.ndarray | None = None,
-                            source_repeat: int = 1):
-        """Total (optionally row-weighted) NLL over unpadded target positions.
+    def _teacher_forced_logits(self, src_ids, src_mask, tgt_ids, source_repeat: int = 1):
+        """(B, T, V) next-token logits with the target fed in, one node per layer.
 
         With ``source_repeat=k`` the encoder runs once per distinct source and
         its states are tiled, so targets row b*k+j share source b.
         """
-        enc_stack, attn_bias, hc = self._encode(src_ids, src_mask)
+        p = self.params
+        keys, attn_bias, hc = self._encode(src_ids, src_mask)
         if source_repeat > 1:
-            enc_stack = ad.repeat_rows(enc_stack, source_repeat)
+            keys = ad.repeat_rows(keys, source_repeat)
             attn_bias = np.repeat(attn_bias, source_repeat, axis=0)
             hc = ad.repeat_rows(hc, source_repeat)
-        batch, tgt_len = tgt_ids.shape
         dec_in = np.concatenate(
-            [np.full((batch, 1), BOS, dtype=np.int64), tgt_ids[:, :-1]], axis=1
+            [np.full((tgt_ids.shape[0], 1), BOS, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        total = ad.constant(np.asarray(0.0))
-        for t in range(tgt_len):
-            logits, hc = self._decode_step(dec_in[:, t], hc, enc_stack, attn_bias)
-            nll_t = ad.cross_entropy(logits, tgt_ids[:, t])
-            w = tgt_mask[:, t]
-            if row_weights is not None:
-                w = w * row_weights
-            total = ad.add(total, ad.masked_sum(nll_t, w))
-        return total
+        states = ad.lstm_cell(ad.embedding(p["embed"], dec_in), hc,
+                              p["dec_wx"], p["dec_wh"], p["dec_b"])
+        return self._output_logits(states, keys, attn_bias)
+
+    def _teacher_forced_nll(self, src_ids, src_mask, tgt_ids, tgt_mask,
+                            row_weights: np.ndarray | None = None,
+                            source_repeat: int = 1):
+        """Total (optionally row-weighted) NLL over unpadded target positions."""
+        logits = self._teacher_forced_logits(src_ids, src_mask, tgt_ids, source_repeat)
+        weights = tgt_mask if row_weights is None else tgt_mask * row_weights[:, None]
+        return ad.masked_sum(ad.cross_entropy(logits, tgt_ids), weights)
 
     # -- scoring -----------------------------------------------------------
 
@@ -137,17 +144,9 @@ class Seq2Seq:
                 raise EmptySequenceError("log_prob needs numericalized, non-empty sentences")
         src_ids, src_mask = pad_batch([s.ids for s in sources])
         tgt_ids, tgt_mask = pad_batch([t.ids for t in targets])
-        enc_stack, attn_bias, hc = self._encode(src_ids, src_mask)
-        batch, tgt_len = tgt_ids.shape
-        dec_in = np.concatenate(
-            [np.full((batch, 1), BOS, dtype=np.int64), tgt_ids[:, :-1]], axis=1
-        )
-        out = np.zeros(batch)
-        for t in range(tgt_len):
-            logits, hc = self._decode_step(dec_in[:, t], hc, enc_stack, attn_bias)
-            logp = _log_softmax_values(logits.value)
-            out += logp[np.arange(batch), tgt_ids[:, t]] * tgt_mask[:, t]
-        return out
+        logits = self._teacher_forced_logits(src_ids, src_mask, tgt_ids)
+        nll = ad.cross_entropy(logits, tgt_ids).value
+        return -(nll * tgt_mask).sum(axis=1)
 
     def log_prob(self, source: Sentence, target: Sentence) -> float:
         return float(self.log_prob_batch([source], [target])[0])
@@ -157,9 +156,9 @@ class Seq2Seq:
     def _run_decode(self, src_ids, src_mask, max_len: int, k: int,
                     rng: np.random.Generator | None, temperature: float):
         """Shared ancestral decode; ``rng is None`` means greedy argmax."""
-        enc_stack, attn_bias, hc = self._encode(src_ids, src_mask)
+        keys, attn_bias, hc = self._encode(src_ids, src_mask)
         if k > 1:
-            enc_stack = ad.repeat_rows(enc_stack, k)
+            keys = ad.repeat_rows(keys, k)
             attn_bias = np.repeat(attn_bias, k, axis=0)
             hc = ad.repeat_rows(hc, k)
         rows = src_ids.shape[0] * k
@@ -168,7 +167,7 @@ class Seq2Seq:
         log_probs = np.zeros(rows)
         emitted: list[np.ndarray] = []
         for _ in range(max_len):
-            logits, hc = self._decode_step(tok, hc, enc_stack, attn_bias)
+            logits, hc = self._decode_step(tok, hc, keys, attn_bias)
             logp = _log_softmax_values(logits.value)
             if rng is None:
                 chosen = logits.value.argmax(axis=1)
@@ -241,7 +240,7 @@ class Seq2Seq:
         width = cfg.beam_width
         max_len = cfg.max_len or _default_max_len(len(source.ids))
         src_ids, src_mask = pad_batch([source.ids])
-        enc_stack, attn_bias, hc = self._encode(src_ids, src_mask)
+        keys, attn_bias, hc = self._encode(src_ids, src_mask)
         beams = [([BOS], 0.0, hc, False)]  # (prefix, score, state, done)
         for _ in range(max_len):
             if all(b[3] for b in beams):
@@ -252,7 +251,7 @@ class Seq2Seq:
                     candidates.append((score, prefix, state, True))
                     continue
                 tok = np.array([prefix[-1]], dtype=np.int64)
-                logits, new_state = self._decode_step(tok, state, enc_stack, attn_bias)
+                logits, new_state = self._decode_step(tok, state, keys, attn_bias)
                 logp = _log_softmax_values(logits.value)[0]
                 order = np.argsort(-logp, kind="stable")[:width]
                 for tok_id in order:

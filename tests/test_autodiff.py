@@ -103,6 +103,7 @@ def make_primitive_cases():
     w2 = rng.normal(0, 0.8, (2, 4))
     relu_in = rng.normal(0, 1.0, (2, 3))
     relu_in[np.abs(relu_in) < 0.05] = 0.2  # keep clear of the kink
+    ragged = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
 
     cases = {
         "add": ([a23, b23], lambda p: _mean_sq(ad.add(p[0], p[1]))),
@@ -119,8 +120,8 @@ def make_primitive_cases():
         "log_softmax": ([a23], lambda p: _mean_sq(ad.log_softmax(p[0]))),
         "embedding": ([m34], lambda p: _mean_sq(ad.embedding(p[0], ids))),
         "concat": ([a23, b23], lambda p: _mean_sq(ad.concat([p[0], p[1]], axis=1))),
-        "stack": ([a23, b23], lambda p: _mean_sq(ad.stack([p[0], p[1]], axis=1))),
-        "slice_cols": ([a23], lambda p: _mean_sq(ad.slice_cols(p[0], 1, 3))),
+        "take": ([x_btE], lambda p: ad.add(_mean_sq(ad.take(p[0], np.s_[..., 1:3])),
+                                           _mean_sq(ad.take(p[0], np.s_[:, -1])))),
         "repeat_rows": ([a23], lambda p: _mean_sq(ad.repeat_rows(p[0], 3))),
         "reshape": ([a23], lambda p: _mean_sq(ad.reshape(p[0], (3, 2)))),
         "sum_all": ([a23], lambda p: ad.mul(ad.sum_all(p[0]), ad.sum_all(p[0]))),
@@ -136,8 +137,6 @@ def make_primitive_cases():
                    lambda p: _mean_sq(ad.affine(p[0], p[1], p[2]))),
         "tanh_affine": ([a23, m34, rng.normal(0, 1, (4,))],
                         lambda p: _mean_sq(ad.tanh_affine(p[0], p[1], p[2]))),
-        "lerp_rows": ([a23, b23], lambda p: _mean_sq(
-            ad.lerp_rows(np.array([[1.0], [0.0]]), p[0], p[1]))),
         "lstm_cell": (
             [rng.normal(0, 0.8, (2, 3)), rng.normal(0, 0.8, (2, 8)),
              rng.normal(0, 0.5, (3, 16)), rng.normal(0, 0.5, (4, 16)),
@@ -147,6 +146,17 @@ def make_primitive_cases():
             [a23, keys, rng.normal(0, 0.5, (3, 3))],
             lambda p: _mean_sq(ad.bilinear_attention(
                 p[0], p[1], np.array([[0.0, 0.0, 0.0, -1e9]] * 2), p[2]))),
+        "bilinear_attention_seq": (
+            [rng.normal(0, 0.8, (2, 3, 3)), keys, rng.normal(0, 0.5, (3, 3))],
+            lambda p: _mean_sq(ad.bilinear_attention(
+                p[0], p[1], np.array([[0.0, 0.0, 0.0, -1e9], [0.0, 0.0, -1e9, -1e9]]),
+                p[2]))),
+        # whole sequence, ragged: row 1 skips steps 2-3, so its state carries
+        "lstm_cell_seq": (
+            [rng.normal(0, 0.8, (2, 4, 3)), rng.normal(0, 0.8, (2, 8)),
+             rng.normal(0, 0.5, (3, 16)), rng.normal(0, 0.5, (4, 16)),
+             rng.normal(0, 0.5, (16,))],
+            lambda p: _mean_sq(ad.lstm_cell(p[0], p[1], p[2], p[3], p[4], mask=ragged))),
     }
     return cases
 

@@ -128,6 +128,20 @@ def test_identical_corpora_chance_accuracy():
     assert abs(dev_acc - 0.5) <= 0.05
 
 
+def test_no_dev_split_reports_nan_accuracy(tiny_task, capsys):
+    corpus, _, vocab = tiny_task
+    train_only = StyleCorpus(corpus.label_x, corpus.label_y, {
+        (lab.name, "train"): corpus.of(lab, "train")[:40] for lab in corpus.labels()
+    })
+    clf, dev_acc = train_classifier(train_only, vocab,
+                                    ClassifierConfig(embed_dim=8, channels=4, epochs=1, seed=0))
+    assert clf.frozen
+    assert math.isnan(dev_acc)
+    from dualstyle.cli import _log
+    _log(event="pretrain_classifier", dev_acc=round(dev_acc, 4))
+    assert "dev_acc=nan" in capsys.readouterr().out
+
+
 def test_frozen_classifier_rejects_training(tiny_task, tiny_classifier):
     corpus, _, vocab = tiny_task
     from dualstyle.optim import AdamState

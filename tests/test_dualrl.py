@@ -344,8 +344,9 @@ def test_resume_reproduces_straight_run(tiny_task, warm_models, tiny_classifier,
     train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
           run_dir=tmp_path / "resumed", gold_refs=gold.refs, resume=True)
 
-    assert (tmp_path / "straight" / "history.csv").read_bytes() == \
-        (tmp_path / "resumed" / "history.csv").read_bytes()
+    for name in ("history.csv", "rewards.csv"):
+        assert (tmp_path / "straight" / name).read_bytes() == \
+            (tmp_path / "resumed" / name).read_bytes()
     for name in ("f_last", "g_last"):
         assert checkpoint_hash(tmp_path / "straight" / "checkpoints" / f"{name}.ckpt") == \
             checkpoint_hash(tmp_path / "resumed" / "checkpoints" / f"{name}.ckpt")

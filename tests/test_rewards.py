@@ -14,6 +14,7 @@ from dualstyle.rewards import (
     bleu_content_reward,
     breakdown,
     combine,
+    combine_batch,
     combined_rewards,
     content_reward,
     style_reward,
@@ -113,6 +114,19 @@ def test_combine_bounds_and_symmetry(r_style, r_content, beta):
     assert min(r_style, r_content) - 1e-12 <= value <= max(r_style, r_content) + 1e-12
     flipped = combine(r_content, r_style, 1.0 / beta)
     assert value == pytest.approx(flipped, rel=1e-9, abs=1e-12)
+
+
+def test_combine_batch_matches_scalar_combine_exactly():
+    rng = np.random.default_rng(3)
+    r_style = rng.random(500)
+    r_content = rng.random(500)
+    r_style[rng.random(500) < 0.2] = 0.0
+    r_content[rng.random(500) < 0.2] = 0.0
+    for beta in (0.1, 0.5, 1.0, 3.0):
+        vec = combine_batch(r_style, r_content, beta)
+        ref = [combine(float(s), float(c), beta) for s, c in zip(r_style, r_content)]
+        assert vec.tolist() == ref
+    assert (combine_batch(r_style, r_content, 0.5)[(r_style == 0) & (r_content == 0)] == 0).all()
 
 
 def test_breakdown_invariants():

@@ -218,6 +218,25 @@ def test_mle_loss_grad_check(small_vocab):
     assert err < 1e-4
 
 
+def test_mle_step_tape_size_does_not_grow_with_length(small_vocab, monkeypatch):
+    # whole-sequence ops: a teacher-forced pass records a fixed node count
+    model = Seq2Seq(small_vocab, embed_dim=5, hidden_dim=6, seed=13)
+    sizes = []
+    real_backward = ad.backward
+
+    def counting_backward(tape, loss):
+        sizes.append(len(tape.nodes))
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    opt = AdamState(lr=1e-3)
+    for length in (3, 12):
+        src = sentence(small_vocab, *(["a", "b", "c"] * 4)[:length])
+        tgt = sentence(small_vocab, *(["d", "e"] * 6)[:length])
+        model.mle_step([(src, tgt), (tgt, src)], opt)
+    assert sizes[0] == sizes[1]
+
+
 def test_beam_width_one_equals_greedy(small_vocab):
     model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=21)
     src = sentence(small_vocab, "a", "c", "e")
