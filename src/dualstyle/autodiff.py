@@ -452,10 +452,14 @@ def mix_rows(weights, values) -> Tensor:
 # The recurrent ones take a whole sequence: ``lstm_cell`` runs every time
 # step in one node and ``bilinear_attention`` scores every query step at once,
 # so a teacher-forced pass records a fixed number of nodes whatever its
-# length.  Time-invariant work then happens once over all B*T rows: the
-# weight gradients are single GEMMs after the backward-through-time loop
-# (the hoisting of Appleyard et al. 2016, arXiv:1604.01946).  ``affine`` and
-# ``tanh_affine`` take any (..., D) input and treat the leading axes as rows.
+# length.  Time-invariant work is hoisted out of the time loop (Appleyard et
+# al. 2016, arXiv:1604.01946): the recurrent weight gradient is one GEMM over
+# all B*T rows after the backward-through-time loop, and the input projection
+# ``x @ W_x + b`` is not in ``lstm_cell`` at all.  The caller computes it once
+# per distinct input token with ``affine`` (the precomputation of Devlin et
+# al. 2014), so its forward and both weight gradients cost U rows, U <= |V|,
+# instead of B*T.  ``affine`` and ``tanh_affine`` take any (..., D) input and
+# treat the leading axes as rows.
 # ---------------------------------------------------------------------------
 
 def affine(a, w, b) -> Tensor:
@@ -502,20 +506,24 @@ def _affine_vjp(a: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
         _acc(b, gz_rows.sum(axis=0))
 
 
-def lstm_cell(x, hc, wx, wh, b, mask=None) -> Tensor:
+def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
     """LSTM recurrence over a whole sequence in one node.
 
-    ``x`` is (B, T, E) and ``hc`` the initial state [h | c] of shape (B, 2H);
-    the output stacks the state after every step, (B, T, 2H).  Gate order in
-    the preactivation is (input, forget, output, candidate).  ``mask`` is an
-    optional constant (B, T) 0/1 array: where it is 0 the step is skipped and
-    the previous state carries through.  A (B, E) ``x`` is a single step and
-    returns (B, 2H).
+    Each input is one of a few distinct embedding rows, so its projection
+    ``x @ W_x + b`` is computed once per distinct input outside this op:
+    ``xw`` is that (U, 4H) table and ``index`` the (B, T) int array naming
+    the row that feeds each sequence at each step.  ``hc`` is the initial
+    state [h | c] of shape (B, 2H); the output stacks the state after every
+    step, (B, T, 2H).  Gate order in the preactivation is (input, forget,
+    output, candidate).  ``mask`` is an optional constant (B, T) 0/1 array:
+    where it is 0 the step is skipped and the previous state carries through.
+    A (B,) ``index`` is a single step and returns (B, 2H).
     """
-    x, hc, wx, wh, b = (as_tensor(t) for t in (x, hc, wx, wh, b))
-    seq = x.value.ndim == 3
-    xs = x.value if seq else x.value[:, None, :]
-    batch, steps, _ = xs.shape
+    xw, hc, wh = (as_tensor(t) for t in (xw, hc, wh))
+    index = np.asarray(index)
+    seq = index.ndim == 2
+    idx = index if seq else index[:, None]
+    batch, steps = idx.shape
     hd = hc.value.shape[1] // 2
     skip = None if mask is None else ~np.asarray(mask, dtype=bool)
     out = np.empty((batch, steps, 2 * hd))
@@ -526,9 +534,9 @@ def lstm_cell(x, hc, wx, wh, b, mask=None) -> Tensor:
         tcs = np.empty((batch, steps, hd))
     prev = hc.value
     for t in range(steps):
-        gates = xs[:, t] @ wx.value
+        # gathered per step, so no (B, T, 4H) preactivation array is built
+        gates = xw.value[idx[:, t]]
         gates += prev[:, :hd] @ wh.value
-        gates += b.value
         # sigmoid(z) = 0.5 * (1 + tanh(z / 2)) for the three gates
         gates[:, : 3 * hd] *= 0.5
         act = acts[:, t] if taped else gates
@@ -582,19 +590,19 @@ def lstm_cell(x, hc, wx, wh, b, mask=None) -> Tensor:
                 dh_next += dh_skip
                 dc_next += dc_skip
         rows = dgates.reshape(batch * steps, 4 * hd)
-        if not x.constant:
-            _acc(x, (rows @ wx.value.T).reshape(x.value.shape))
+        if not xw.constant:
+            # scatter-add of every step's gate gradient into its xw row, as
+            # one (U, B*T) @ (B*T, 4H) one-hot GEMM
+            onehot = np.zeros((xw.value.shape[0], batch * steps))
+            onehot[idx.reshape(-1), np.arange(batch * steps)] = 1.0
+            _acc(xw, onehot @ rows)
         if not hc.constant:
             _acc(hc, np.concatenate([dh_next, dc_next], axis=1))
-        if not wx.constant:
-            _acc(wx, xs.reshape(batch * steps, -1).T @ rows)
         if not wh.constant:
             h_prev = np.concatenate([hc.value[:, None, :hd], out[:, :-1, :hd]], axis=1)
             _acc(wh, h_prev.reshape(batch * steps, hd).T @ rows)
-        if not b.constant:
-            _acc(b, rows.sum(axis=0))
 
-    return _record(out if seq else out[:, 0], (x, hc, wx, wh, b), vjp)
+    return _record(out if seq else out[:, 0], (xw, hc, wh), vjp)
 
 
 def bilinear_attention(query, keys, score_bias, wa) -> Tensor:

@@ -109,7 +109,6 @@ class TextClassifier:
             loss = ad.scale(ad.sum_all(nll), 1.0 / len(sentences))
         ad.backward(tape, loss)
         grads = collect_grads(self.params)
-        zero_grads(self.params)
         clip_global_norm(grads, self.cfg.grad_clip)
         adam_step(self.params, grads, opt)
         return float(loss.value)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +157,6 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
                                           row_weights=weights, source_repeat=k)
     ad.backward(tape, loss)
     grads = collect_grads(policy.params)
-    zero_grads(policy.params)
     stats = {
         "mean_reward": float(r_mat.mean()),
         "degenerate": int((valid == 0).sum()),
@@ -547,7 +546,3 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
     return TrainResult(model_f=best_f, model_g=best_g, state=state,
                        history=state.history)
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Sentence, StyleLabel, load_references, tokenize
+from .corpus import Sentence, StyleLabel, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
 MAX_ORDER = 4
@@ -213,13 +213,6 @@ def write_report(report: EvalReport, report_dir) -> None:
         for rec in report.records:
             fh.write(f"{rec['input']}\t{rec['output']}\t"
                      f"{rec['p_target_style']!r}\t{rec['best_ref_bleu']!r}\n")
-
-
-def load_reference_sets(data_dir, style: str, split: str) -> list[list[Sentence]]:
-    refs = load_references(data_dir, style, split)
-    if not refs:
-        raise MissingReferenceError(f"no reference files for {style}.{split}")
-    return refs
 
 
 def emit_curves(history: list[dict], path) -> str:

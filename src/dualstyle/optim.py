@@ -35,11 +35,18 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter values."""
+    """One bias-corrected Adam update, in place on the parameter values.
+
+    The update is ``lr * m_hat / (sqrt(v_hat) + eps)``, evaluated with ``out=``
+    ufuncs into two scratch buffers shared by all parameters, in the order the
+    plain expression would evaluate it, so the result is bit-identical to it.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
+    size = max((p.value.size for p in params.values()), default=0)
+    scratch1, scratch2 = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -52,13 +59,22 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
         m, v = state.m[name], state.v[name]
+        s1 = scratch1[: g.size].reshape(g.shape)
+        s2 = scratch2[: g.size].reshape(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(1.0 - b1, g, out=s1)
+        m += s1
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(1.0 - b2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, correction1, out=s1)  # m_hat
+        s1 *= state.lr
+        np.divide(v, correction2, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p.value -= s1
     return state
 
 
@@ -78,10 +94,16 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> flo
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Copy out gradients after a backward pass; missing grads become zeros."""
+    """Take the gradients out of the parameters after a backward pass.
+
+    Each parameter's gradient array is handed over, not copied (backward
+    always leaves a parameter owning its gradient), and the parameter's
+    gradient is cleared; missing grads become zeros.
+    """
     out = {}
     for name, p in params.items():
-        out[name] = np.zeros_like(p.value) if p.grad is None else p.grad.copy()
+        out[name] = np.zeros_like(p.value) if p.grad is None else p.grad
+        p.grad = None
     return out
 
 

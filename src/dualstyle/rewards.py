@@ -133,8 +133,3 @@ def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
         r_content[valid] = content_reward_any(back_model, vp, vx, cfg)
     return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)
 
-
-def reward_trace_row(iteration: int, r_style: np.ndarray, r_content: np.ndarray,
-                     r_total: np.ndarray) -> str:
-    return (f"{iteration},{float(np.mean(r_style))!r},"
-            f"{float(np.mean(r_content))!r},{float(np.mean(r_total))!r}")

@@ -8,6 +8,12 @@ once over all B*T target steps.  Sampling and greedy/beam decoding feed each
 emitted token back and so step through the same ops one step at a time; the
 two paths share every layer, so a sample's reported log-probability agrees
 with an independent ``log_prob`` call on it.
+
+An LSTM input is always an embedding row, so its projection ``x @ W_x + b``
+takes one of at most |V| values.  Every LSTM call therefore projects each
+distinct token id in its input once (``_lstm``) and the cell gathers the
+rows it needs at each step: a decode step of 256 rows projects at most |V|
+rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
 """
 
 from __future__ import annotations
@@ -85,13 +91,23 @@ class Seq2Seq:
         Returns the attention keys (B, T, H), their score bias (B, T) and the
         final state (B, 2H).
         """
-        p = self.params
         hc0 = ad.constant(np.zeros((src_ids.shape[0], 2 * self.hidden_dim)))
-        states = ad.lstm_cell(ad.embedding(p["embed"], src_ids), hc0,
-                              p["enc_wx"], p["enc_wh"], p["enc_b"], mask=src_mask)
+        states = self._lstm("enc", src_ids, hc0, mask=src_mask)
         keys = ad.take(states, np.s_[..., : self.hidden_dim])
         attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
         return keys, attn_bias, ad.take(states, np.s_[:, -1])
+
+    def _lstm(self, lstm: str, ids: np.ndarray, hc, mask=None):
+        """Run the ``lstm`` ("enc" or "dec") LSTM over token ids from state ``hc``.
+
+        The input projection ``embed[u] @ W_x + b`` is one (U, 4H) ``affine``
+        over the U distinct ids ``u`` in ``ids``; ``lstm_cell`` gathers its rows
+        at each step.  (B, T) ids give (B, T, 2H) states, (B,) ids one step.
+        """
+        p = self.params
+        uniq, index = np.unique(ids, return_inverse=True)
+        xw = ad.affine(ad.embedding(p["embed"], uniq), p[f"{lstm}_wx"], p[f"{lstm}_b"])
+        return ad.lstm_cell(xw, index.reshape(ids.shape), hc, p[f"{lstm}_wh"], mask=mask)
 
     def _output_logits(self, states, keys, attn_bias):
         """Attention and output layer over decoder states (..., 2H)."""
@@ -103,9 +119,7 @@ class Seq2Seq:
                          p["out_w"], p["out_b"])
 
     def _decode_step(self, tok_ids: np.ndarray, hc, keys, attn_bias):
-        p = self.params
-        x = ad.embedding(p["embed"], tok_ids)
-        hc = ad.lstm_cell(x, hc, p["dec_wx"], p["dec_wh"], p["dec_b"])
+        hc = self._lstm("dec", tok_ids, hc)
         return self._output_logits(hc, keys, attn_bias), hc
 
     def _teacher_forced_logits(self, src_ids, src_mask, tgt_ids, source_repeat: int = 1):
@@ -114,7 +128,6 @@ class Seq2Seq:
         With ``source_repeat=k`` the encoder runs once per distinct source and
         its states are tiled, so targets row b*k+j share source b.
         """
-        p = self.params
         keys, attn_bias, hc = self._encode(src_ids, src_mask)
         if source_repeat > 1:
             keys = ad.repeat_rows(keys, source_repeat)
@@ -123,8 +136,7 @@ class Seq2Seq:
         dec_in = np.concatenate(
             [np.full((tgt_ids.shape[0], 1), BOS, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        states = ad.lstm_cell(ad.embedding(p["embed"], dec_in), hc,
-                              p["dec_wx"], p["dec_wh"], p["dec_b"])
+        states = self._lstm("dec", dec_in, hc)
         return self._output_logits(states, keys, attn_bias)
 
     def _teacher_forced_nll(self, src_ids, src_mask, tgt_ids, tgt_mask,
@@ -281,7 +293,6 @@ class Seq2Seq:
             loss = ad.scale(total, 1.0 / n_tokens)
         ad.backward(tape, loss)
         grads = collect_grads(self.params)
-        zero_grads(self.params)
         clip_global_norm(grads, grad_clip)
         adam_step(self.params, grads, opt)
         return float(loss.value)

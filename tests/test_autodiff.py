@@ -137,11 +137,11 @@ def make_primitive_cases():
                    lambda p: _mean_sq(ad.affine(p[0], p[1], p[2]))),
         "tanh_affine": ([a23, m34, rng.normal(0, 1, (4,))],
                         lambda p: _mean_sq(ad.tanh_affine(p[0], p[1], p[2]))),
+        # both rows read xw row 1, so its gradient is a scatter-add
         "lstm_cell": (
-            [rng.normal(0, 0.8, (2, 3)), rng.normal(0, 0.8, (2, 8)),
-             rng.normal(0, 0.5, (3, 16)), rng.normal(0, 0.5, (4, 16)),
-             rng.normal(0, 0.5, (16,))],
-            lambda p: _mean_sq(ad.lstm_cell(p[0], p[1], p[2], p[3], p[4]))),
+            [rng.normal(0, 0.8, (3, 16)), rng.normal(0, 0.8, (2, 8)),
+             rng.normal(0, 0.5, (4, 16))],
+            lambda p: _mean_sq(ad.lstm_cell(p[0], np.array([1, 1]), p[1], p[2]))),
         "bilinear_attention": (
             [a23, keys, rng.normal(0, 0.5, (3, 3))],
             lambda p: _mean_sq(ad.bilinear_attention(
@@ -151,12 +151,13 @@ def make_primitive_cases():
             lambda p: _mean_sq(ad.bilinear_attention(
                 p[0], p[1], np.array([[0.0, 0.0, 0.0, -1e9], [0.0, 0.0, -1e9, -1e9]]),
                 p[2]))),
-        # whole sequence, ragged: row 1 skips steps 2-3, so its state carries
+        # whole sequence, ragged: row 1 skips steps 2-3, so its state carries;
+        # xw row 2 feeds three live steps in both rows
         "lstm_cell_seq": (
-            [rng.normal(0, 0.8, (2, 4, 3)), rng.normal(0, 0.8, (2, 8)),
-             rng.normal(0, 0.5, (3, 16)), rng.normal(0, 0.5, (4, 16)),
-             rng.normal(0, 0.5, (16,))],
-            lambda p: _mean_sq(ad.lstm_cell(p[0], p[1], p[2], p[3], p[4], mask=ragged))),
+            [rng.normal(0, 0.8, (4, 16)), rng.normal(0, 0.8, (2, 8)),
+             rng.normal(0, 0.5, (4, 16))],
+            lambda p: _mean_sq(ad.lstm_cell(p[0], np.array([[0, 2, 2, 1], [2, 0, 3, 3]]),
+                                            p[1], p[2], mask=ragged))),
     }
     return cases
 

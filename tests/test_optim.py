@@ -67,6 +67,57 @@ def test_clip_rejects_non_finite():
         clip_global_norm({"a": np.array([np.nan])})
 
 
+def _adam_reference(params, grads, state):
+    """The textbook expression form of one bias-corrected Adam step."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    correction1 = 1.0 - b1 ** state.t
+    correction2 = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        g = grads.get(name, np.zeros_like(p.value))
+        m = state.m.setdefault(name, np.zeros_like(p.value))
+        v = state.v.setdefault(name, np.zeros_like(p.value))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def test_in_place_adam_is_bit_identical_to_expression_form():
+    rng = np.random.default_rng(7)
+    shapes = {"w": (5, 4), "b": (4,), "s": (), "e": (3, 6)}
+    init = {k: rng.normal(0, 1, s) for k, s in shapes.items()}
+    fast = {k: ad.parameter(a.copy()) for k, a in init.items()}
+    ref = {k: ad.parameter(a.copy()) for k, a in init.items()}
+    fast_state, ref_state = AdamState(lr=3e-3), AdamState(lr=3e-3)
+    for step in range(8):
+        grads = {k: rng.normal(0, 10.0 ** (step % 3 - 1), s) for k, s in shapes.items()}
+        if step % 2:
+            del grads["e"]  # a parameter with no gradient this step
+        adam_step(fast, {k: g.copy() for k, g in grads.items()}, fast_state)
+        _adam_reference(ref, grads, ref_state)
+        for k in shapes:
+            assert np.array_equal(fast[k].value, ref[k].value), (step, k)
+            assert np.array_equal(fast_state.m[k], ref_state.m[k])
+            assert np.array_equal(fast_state.v[k], ref_state.v[k])
+
+
+def test_collect_grads_hands_over_and_clears():
+    p = {"w": ad.parameter(np.array([1.0, -2.0])), "u": ad.parameter(np.ones(3))}
+    with ad.Tape() as tape:
+        loss = ad.sum_all(ad.mul(p["w"], p["w"]))
+    ad.backward(tape, loss)
+    held = p["w"].grad
+    grads = collect_grads(p)
+    assert p["w"].grad is None and p["u"].grad is None
+    assert grads["w"] is held
+    assert np.array_equal(grads["w"], [2.0, -4.0])
+    assert np.array_equal(grads["u"], np.zeros(3))
+
+
 def test_collect_grads_fills_zeros():
     p = {"w": ad.parameter(np.ones(2)), "u": ad.parameter(np.ones(3))}
     with ad.Tape() as tape:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualstyle import autodiff as ad
-from dualstyle.corpus import EOS, Sentence, Vocabulary, pad_batch
+from dualstyle.corpus import BOS, EOS, Sentence, Vocabulary, pad_batch
 from dualstyle.errors import EmptySequenceError
 from dualstyle.optim import AdamState
 from dualstyle.seq2seq import DecodeConfig, Seq2Seq
@@ -198,6 +198,59 @@ def test_pad_positions_do_not_contribute(small_vocab):
     with ad.Tape() as tape2:
         padded = model._teacher_forced_nll(src_ids, src_mask, padded_tgt, padded_mask)
     assert abs(float(plain.value) - float(padded.value)) < 1e-12
+
+
+def _reference_logits(model, src_ids, src_mask, tgt_ids):
+    """Plain numpy forward that projects embed[ids] @ W_x + b for every row and step."""
+    p = {k: v.value for k, v in model.params.items()}
+    hd = model.hidden_dim
+
+    def lstm_step(ids, h, c, lstm):
+        z = p["embed"][ids] @ p[f"{lstm}_wx"] + p[f"{lstm}_b"] + h @ p[f"{lstm}_wh"]
+        i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * hd: (k + 1) * hd])) for k in range(3))
+        c = f * c + i * np.tanh(z[:, 3 * hd:])
+        return o * np.tanh(c), c
+
+    batch, src_len = src_ids.shape
+    h, c = np.zeros((batch, hd)), np.zeros((batch, hd))
+    keys = np.zeros((batch, src_len, hd))
+    for t in range(src_len):
+        h_new, c_new = lstm_step(src_ids[:, t], h, c, "enc")
+        live = src_mask[:, t, None] > 0
+        h, c = np.where(live, h_new, h), np.where(live, c_new, c)
+        keys[:, t] = h
+    bias = np.where(src_mask > 0, 0.0, -1e9)
+    dec_in = np.concatenate([np.full((batch, 1), BOS), tgt_ids[:, :-1]], axis=1)
+    logits = []
+    for t in range(tgt_ids.shape[1]):
+        h, c = lstm_step(dec_in[:, t], h, c, "dec")
+        scores = np.einsum("bh,bth->bt", h @ p["att_w"], keys) + bias
+        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        ctx = np.einsum("bt,bth->bh", alpha, keys)
+        comb = np.tanh(np.concatenate([h, ctx], axis=1) @ p["comb_w"] + p["comb_b"])
+        logits.append(comb @ p["out_w"] + p["out_b"])
+    return np.stack(logits, axis=1)
+
+
+def test_teacher_forced_logits_match_per_row_reference(small_vocab):
+    # repeated tokens within and across rows share one projected row each
+    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=17, embed_scale=0.5)
+    rng = np.random.default_rng(4)
+    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
+        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    src_ids, src_mask = pad_batch([
+        sentence(small_vocab, "a", "a", "b", "a").ids, sentence(small_vocab, "b", "a").ids,
+        sentence(small_vocab, "c", "c", "c").ids,
+    ])
+    tgt_ids, _ = pad_batch([
+        sentence(small_vocab, "d", "d", "a").ids, sentence(small_vocab, "a", "d", "d", "e").ids,
+        sentence(small_vocab, "a").ids,
+    ])
+    got = model._teacher_forced_logits(src_ids, src_mask, tgt_ids).value
+    want = _reference_logits(model, src_ids, src_mask, tgt_ids)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_mle_loss_grad_check(small_vocab):
