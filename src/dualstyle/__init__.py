@@ -26,23 +26,21 @@ _EXPORTS = {
     "AdamState": "optim", "adam_step": "optim", "clip_global_norm": "optim",
     "save_checkpoint": "checkpoint", "load_checkpoint": "checkpoint",
     # models
-    "Seq2Seq": "seq2seq", "DecodeConfig": "seq2seq", "SampleBatch": "seq2seq",
+    "Seq2Seq": "seq2seq",
     "TextClassifier": "classifier", "ClassifierConfig": "classifier",
-    "train_classifier": "classifier", "style_accuracy": "classifier",
+    "train_classifier": "classifier",
     # rewards
-    "RewardConfig": "rewards", "RewardBreakdown": "rewards",
-    "style_reward": "rewards", "content_reward": "rewards",
-    "combine": "rewards", "bleu_content_reward": "rewards",
+    "RewardConfig": "rewards", "combine": "rewards",
     # pseudo-parallel data
     "StyleLexicon": "pseudo", "PseudoPair": "pseudo",
     "build_style_lexicon": "pseudo", "template_transfer": "pseudo",
-    "make_pretrain_pairs": "pseudo", "back_translate_pair": "pseudo",
+    "make_pretrain_pairs": "pseudo",
     # training
     "TrainConfig": "dualrl", "TrainState": "dualrl", "AnnealSchedule": "dualrl",
     "anneal_interval": "dualrl", "train": "dualrl", "pretrain": "dualrl",
     # evaluation
     "corpus_bleu": "evaluation", "g2h2": "evaluation", "evaluate": "evaluation",
-    "EvalReport": "evaluation", "emit_curves": "evaluation",
+    "EvalReport": "evaluation",
 }
 
 __all__ = sorted(_EXPORTS) + ["__version__"]

@@ -112,6 +112,23 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
+# untaped value helpers
+# ---------------------------------------------------------------------------
+
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of a plain array."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+# ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
@@ -124,32 +141,6 @@ def add(a, b) -> Tensor:
             _acc(a, _unbroadcast(g, a.value.shape))
         if not b.constant:
             _acc(b, _unbroadcast(g, b.value.shape))
-
-    return _record(out, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value - b.value
-
-    def vjp(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(-g, b.value.shape))
-
-    return _record(out, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value * b.value
-
-    def vjp(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(g * a.value, b.value.shape))
 
     return _record(out, (a, b), vjp)
 
@@ -177,63 +168,12 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.value)
-
-    def vjp(g):
-        _acc(a, g * (1.0 - out * out))
-
-    return _record(out, (a,), vjp)
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # the tanh form cannot overflow and costs one transcendental call
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid_values(a.value)
-
-    def vjp(g):
-        _acc(a, g * out * (1.0 - out))
-
-    return _record(out, (a,), vjp)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.value, 0.0)
 
     def vjp(g):
         _acc(a, g * (a.value > 0))
-
-    return _record(out, (a,), vjp)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _acc(a, out * (g - inner))
-
-    return _record(out, (a,), vjp)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
-
-    def vjp(g):
-        _acc(a, g - probs * g.sum(axis=axis, keepdims=True))
 
     return _record(out, (a,), vjp)
 
@@ -333,19 +273,6 @@ def masked_sum(a, mask) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def masked_mean(a, mask) -> Tensor:
-    """Mean of the entries of ``a`` selected by a 0/1 mask."""
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=np.float64)
-    total = mask.sum()
-    out = np.asarray((a.value * mask).sum() / total)
-
-    def vjp(g):
-        _acc(a, g * mask / total)
-
-    return _record(out, (a,), vjp)
-
-
 def cross_entropy(logits, targets) -> Tensor:
     """Negative log-likelihood of integer targets over the last axis.
 
@@ -354,9 +281,7 @@ def cross_entropy(logits, targets) -> Tensor:
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
-    shifted = logits.value - logits.value.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = (shifted - lse).reshape(targets.size, -1)
+    logp = log_softmax_values(logits.value).reshape(targets.size, -1)
     rows = np.arange(targets.size)
     flat_t = targets.reshape(-1)
     out = -logp[rows, flat_t].reshape(targets.shape)
@@ -416,40 +341,14 @@ def max_over_time(x, valid_mask) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def dot_rows(q, keys) -> Tensor:
-    """Scores s[b,t] = q[b] . keys[b,t] for q (B,H) against keys (B,T,H)."""
-    q, keys = as_tensor(q), as_tensor(keys)
-    out = np.einsum("bh,bth->bt", q.value, keys.value)
-
-    def vjp(g):
-        if not q.constant:
-            _acc(q, np.einsum("bt,bth->bh", g, keys.value))
-        if not keys.constant:
-            _acc(keys, np.einsum("bt,bh->bth", g, q.value))
-
-    return _record(out, (q, keys), vjp)
-
-
-def mix_rows(weights, values) -> Tensor:
-    """Convex mix c[b] = sum_t w[b,t] * values[b,t] for (B,T) x (B,T,H)."""
-    weights, values = as_tensor(weights), as_tensor(values)
-    out = np.einsum("bt,bth->bh", weights.value, values.value)
-
-    def vjp(g):
-        if not weights.constant:
-            _acc(weights, np.einsum("bh,bth->bt", g, values.value))
-        if not values.constant:
-            _acc(values, np.einsum("bt,bh->bth", weights.value, g))
-
-    return _record(out, (weights, values), vjp)
-
-
 # ---------------------------------------------------------------------------
 # fused primitives
 #
-# Semantically these are compositions of the ops above; each has a
-# hand-written backward rule and is covered by grad_check like any primitive.
-# The recurrent ones take a whole sequence: ``lstm_cell`` runs every time
+# Each fuses a whole layer into one node with a hand-written backward rule.
+# ``grad_check`` covers every one of them like any primitive
+# (tests/test_autodiff.py), and a plain-numpy forward of the whole model
+# checks their values (``test_teacher_forced_logits_match_per_row_reference``
+# in tests/test_seq2seq.py).  The recurrent ones take a whole sequence: ``lstm_cell`` runs every time
 # step in one node and ``bilinear_attention`` scores every query step at once,
 # so a teacher-forced pass records a fixed number of nodes whatever its
 # length.  Time-invariant work is hoisted out of the time loop (Appleyard et

@@ -3,13 +3,17 @@
 Layout: magic line, one JSON header line listing metadata and parameter
 entries (name, shape, dtype), then the arrays' row-major bytes concatenated
 in header order.  Writing is byte-deterministic for identical inputs and
-round-trips float64 losslessly.
+round-trips float64 losslessly.  A write goes to a temporary file in the
+same directory that then replaces the target, so a crash mid-write leaves
+the previous checkpoint whole; loading rejects a payload whose length
+differs from what the header lists.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +41,19 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header_line.encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(header_line.encode("utf-8"))
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -57,7 +69,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             dtype = np.dtype(entry["dtype"])
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
             raw = fh.read(count * dtype.itemsize)
+            if len(raw) != count * dtype.itemsize:
+                raise ValueError(f"{path} is truncated: {entry['name']!r} has "
+                                 f"{len(raw)} of {count * dtype.itemsize} bytes")
             arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+        extra = len(fh.read())
+        if extra:
+            raise ValueError(f"{path} has {extra} bytes past the arrays its header lists")
     return arrays, header["meta"]
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
-from .corpus import EOS, PAD, Sentence, StyleCorpus, StyleLabel, Vocabulary
-from .errors import EmptyListError, EmptySequenceError
+from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary
+from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
 
 
@@ -81,13 +81,7 @@ class TextClassifier:
     def classify_prob_batch(self, sentences: list[Sentence]) -> np.ndarray:
         """Softmax over the two style classes, one row per sentence."""
         ids, lengths = self._prepare(sentences)
-        logits = self._logits(ids, lengths).value
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        return ex / ex.sum(axis=1, keepdims=True)
-
-    def classify_prob(self, sentence: Sentence) -> np.ndarray:
-        return self.classify_prob_batch([sentence])[0]
+        return ad.softmax_values(self._logits(ids, lengths).value)
 
     def predict(self, sentences: list[Sentence]) -> np.ndarray:
         """Argmax class per sentence; exact ties resolve to class 0."""
@@ -186,12 +180,3 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
         best_acc = float("nan")
     clf.freeze()
     return clf, best_acc
-
-
-def style_accuracy(clf: TextClassifier, sentences: list[Sentence],
-                   target: StyleLabel) -> float:
-    """Fraction of sentences whose argmax class is the target style."""
-    if not sentences:
-        raise EmptyListError("style_accuracy needs at least one sentence")
-    preds = clf.predict(sentences)
-    return float((preds == target.index).mean())

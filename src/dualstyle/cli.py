@@ -22,13 +22,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dualrl, pseudo
 from .classifier import ClassifierConfig, TextClassifier, train_classifier
 from .corpus import (
     RESERVED_TOKENS,
-    Sentence,
     StyleLabel,
     SyntheticTaskSpec,
     Vocabulary,
@@ -42,7 +39,7 @@ from .corpus import (
 )
 from .dualrl import AnnealSchedule, TrainConfig, train
 from .errors import DualStyleError
-from .evaluation import emit_curves, evaluate, g2h2
+from .evaluation import evaluate
 from .rewards import RewardConfig
 from .seq2seq import Seq2Seq
 
@@ -67,7 +64,6 @@ DEFAULTS: dict = {
     # models
     "embed_dim": 300,
     "hidden_dim": 256,
-    "share_embeddings": False,
     "cls_embed_dim": 64,
     "cls_channels": 32,
     "cls_epochs": 8,
@@ -82,7 +78,6 @@ DEFAULTS: dict = {
     "beta": 0.5,
     "sample_size": 4,
     "length_normalize_content": True,
-    "content_variant": "reconstruction_prob",
     "baseline_mode": "leave_one_out",
     "ablation": "rl_plus_mle",
     "patience": 1,
@@ -159,7 +154,6 @@ def train_config(cfg: dict) -> TrainConfig:
         reward=RewardConfig(
             beta=cfg["beta"], sample_size=cfg["sample_size"],
             length_normalize_content=cfg["length_normalize_content"],
-            content_variant=cfg["content_variant"],
         ),
         schedule=AnnealSchedule(p0=cfg["p0"], p_max=cfg["p_max"],
                                 rate=cfg["anneal_rate"], gap=cfg["anneal_gap"]),
@@ -275,8 +269,6 @@ def _build_models(cfg: dict, vocab: Vocabulary) -> tuple[Seq2Seq, Seq2Seq]:
                       direction="x2y", seed=[cfg["seed"], 1])
     model_g = Seq2Seq(vocab, embed_dim=cfg["embed_dim"], hidden_dim=cfg["hidden_dim"],
                       direction="y2x", seed=[cfg["seed"], 2])
-    if cfg["share_embeddings"]:
-        model_g.params["embed"] = model_f.params["embed"]
     return model_f, model_g
 
 
@@ -318,7 +310,6 @@ def cmd_train(cfg: dict, resume: bool = False) -> dict:
     tc = train_config(cfg)
     result = train(model_f, model_g, clf, num, tc, run_dir=run_dir,
                    gold_refs=gold_refs, resume=resume)
-    emit_curves(result.history, run_dir / "curves.csv")
     last = result.history[-1] if result.history else {}
     _log(event="train", ablation=tc.ablation, epochs=len(result.history),
          iterations=result.state.iteration,

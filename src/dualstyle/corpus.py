@@ -34,7 +34,12 @@ class StyleLabel:
 class Sentence:
     """Whitespace tokens plus, once numericalized, their vocabulary ids.
 
-    ``ids`` is EOS-terminated and never contains PAD.
+    ``ids`` is EOS-terminated, or ends at the decode cap for generated
+    sentences that never drew EOS.  ``Vocabulary.to_ids`` never puts a
+    reserved id in it, but a sampled or decoded sentence keeps every id the
+    decoder drew before EOS, PAD, BOS and UNK included, so that its ids
+    rescore to the sampler's log-probability.  ``pad_batch`` masks by length,
+    so such ids are scored as ordinary tokens.
     """
 
     surface: tuple[str, ...]
@@ -45,6 +50,13 @@ class Sentence:
 
     def text(self) -> str:
         return " ".join(self.surface)
+
+
+def ngrams(tokens, n: int):
+    """The n-grams of a token sequence as tuples, left to right."""
+    tokens = tuple(tokens)  # once, so that each slice is already a tuple
+    for i in range(len(tokens) - n + 1):
+        yield tokens[i: i + n]
 
 
 def tokenize(raw_line: str) -> Sentence:

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import TextClassifier
-from .corpus import Sentence, StyleCorpus, StyleLabel, Vocabulary, pad_batch
+from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
 from .evaluation import corpus_bleu, g2h2
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
 from .pseudo import PseudoPair, back_translate_batch

@@ -17,10 +17,6 @@ class EmptySequenceError(DualStyleError):
     pass
 
 
-class EmptyListError(DualStyleError):
-    pass
-
-
 class NonScalarLossError(DualStyleError):
     pass
 

@@ -15,14 +15,28 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Sentence, StyleLabel, tokenize
+from .corpus import Sentence, StyleLabel, ngrams, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
 MAX_ORDER = 4
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_matches(cand, refs, n: int) -> tuple[int, int]:
+    """Clipped n-gram matches of ``cand`` and its n-gram count.
+
+    Each candidate n-gram counts at most as often as it occurs in the
+    reference that holds it most often.
+    """
+    counts = Counter(ngrams(cand, n))
+    if not counts:
+        return 0, 0
+    max_ref = Counter()
+    for ref in refs:
+        for gram, cnt in Counter(ngrams(ref, n)).items():
+            if cnt > max_ref[gram]:
+                max_ref[gram] = cnt
+    match = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+    return match, sum(counts.values())
 
 
 def _closest_ref_length(cand_len: int, ref_lens) -> int:
@@ -56,21 +70,14 @@ def corpus_bleu(candidates, references) -> float:
     for cand, refs in zip(candidates, references):
         if not refs:
             raise MissingReferenceError("a candidate has no references")
-        cand = list(cand)
-        refs = [list(r) for r in refs]
+        cand = tuple(cand)
+        refs = [tuple(r) for r in refs]
         cand_length += len(cand)
         ref_length += _closest_ref_length(len(cand), [len(r) for r in refs])
         for n in range(1, MAX_ORDER + 1):
-            counts = _ngram_counts(cand, n)
-            if not counts:
-                continue
-            max_ref = Counter()
-            for ref in refs:
-                for gram, cnt in _ngram_counts(ref, n).items():
-                    if cnt > max_ref[gram]:
-                        max_ref[gram] = cnt
-            totals[n - 1] += sum(counts.values())
-            matches[n - 1] += sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+            match, total = _clipped_matches(cand, refs, n)
+            matches[n - 1] += match
+            totals[n - 1] += total
     if cand_length == 0 or any(m == 0 for m in matches) or any(t == 0 for t in totals):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
@@ -84,20 +91,13 @@ def sentence_bleu_smoothed(candidate, references) -> float:
     This is the reward-side matcher; reported metrics always use the
     unsmoothed corpus-level score above.
     """
-    cand = list(candidate)
-    refs = [list(r) for r in references]
+    cand = tuple(candidate)
+    refs = [tuple(r) for r in references]
     if not refs:
         raise MissingReferenceError("sentence BLEU needs at least one reference")
     log_precision = 0.0
     for n in range(1, MAX_ORDER + 1):
-        counts = _ngram_counts(cand, n)
-        total = sum(counts.values())
-        max_ref = Counter()
-        for ref in refs:
-            for gram, cnt in _ngram_counts(ref, n).items():
-                if cnt > max_ref[gram]:
-                    max_ref[gram] = cnt
-        match = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
+        match, total = _clipped_matches(cand, refs, n)
         if n >= 2:
             match += 1
             total += 1
@@ -213,24 +213,3 @@ def write_report(report: EvalReport, report_dir) -> None:
         for rec in report.records:
             fh.write(f"{rec['input']}\t{rec['output']}\t"
                      f"{rec['p_target_style']!r}\t{rec['best_ref_bleu']!r}\n")
-
-
-def emit_curves(history: list[dict], path) -> str:
-    """Write the per-epoch training history as a plot-ready CSV."""
-    columns = ["epoch", "iteration", "mean_r_style", "mean_r_content", "mean_r_total",
-               "dev_acc", "dev_bleu", "dev_score", "dev_gold_bleu", "dev_gold_h2"]
-    lines = [",".join(columns)]
-    for row in history:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

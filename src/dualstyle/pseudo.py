@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Sentence, StyleCorpus, StyleLabel, Vocabulary
+from .corpus import Sentence, StyleCorpus, StyleLabel, Vocabulary, ngrams
 from .seq2seq import Seq2Seq
 
 _LEFT_EDGE = "<s>"
@@ -48,10 +48,8 @@ class PseudoPair:
 def _ngram_counts(sentences: list[Sentence], max_n: int = 2) -> Counter:
     counts = Counter()
     for sent in sentences:
-        toks = sent.surface
         for n in range(1, max_n + 1):
-            for i in range(len(toks) - n + 1):
-                counts[tuple(toks[i: i + n])] += 1
+            counts.update(ngrams(sent.surface, n))
     return counts
 
 
@@ -194,21 +192,14 @@ def make_pretrain_pairs(corpus: StyleCorpus, lex: StyleLexicon,
     return pairs_f, pairs_g
 
 
-def back_translate_pair(model: Seq2Seq, sentence: Sentence,
-                        iteration: int = 0) -> PseudoPair:
-    """Pair a generated source with its authentic target sentence.
+def back_translate_batch(model: Seq2Seq, sentences: list[Sentence],
+                         iteration: int = 0, max_len: int | None = None,
+                         ) -> list[PseudoPair]:
+    """Pair each greedy output of ``model`` with the sentence it came from.
 
     ``model`` must be the live opposite-direction model; the target side is
     always the real corpus sentence.
     """
-    generated = model.greedy_decode(sentence)
-    return PseudoPair(source=generated, target=sentence,
-                      provenance="back_translation", iteration=iteration)
-
-
-def back_translate_batch(model: Seq2Seq, sentences: list[Sentence],
-                         iteration: int = 0, max_len: int | None = None,
-                         ) -> list[PseudoPair]:
     generated = model.greedy_decode_batch(sentences, max_len=max_len)
     return [
         PseudoPair(source=g, target=s, provenance="back_translation",

@@ -9,7 +9,6 @@ probability is available behind ``length_normalize_content=False``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,7 @@ import numpy as np
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleLabel
 from .errors import EmptySequenceError
-from .evaluation import sentence_bleu_smoothed
-from .seq2seq import DecodeConfig, Seq2Seq
-
-CONTENT_VARIANTS = ("reconstruction_prob", "round_trip_bleu")
+from .seq2seq import Seq2Seq
 
 
 @dataclass
@@ -28,39 +24,17 @@ class RewardConfig:
     beta: float = 0.5
     sample_size: int = 4
     length_normalize_content: bool = True
-    content_variant: str = "reconstruction_prob"
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.sample_size < 1:
             raise ValueError("sample_size must be at least 1")
-        if self.content_variant not in CONTENT_VARIANTS:
-            raise ValueError(f"content_variant must be one of {CONTENT_VARIANTS}")
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    r_style: float
-    r_content: float
-    r_total: float
-
-
-def style_reward(clf: TextClassifier, y_prime: Sentence, target: StyleLabel) -> float:
-    """Classifier probability that the transferred sentence has the target style."""
-    return float(clf.classify_prob(y_prime)[target.index])
 
 
 def style_reward_batch(clf: TextClassifier, sentences: list[Sentence],
                        target: StyleLabel) -> np.ndarray:
     return clf.classify_prob_batch(sentences)[:, target.index]
-
-
-def content_reward(back_model: Seq2Seq, y_prime: Sentence, x: Sentence,
-                   cfg: RewardConfig | None = None) -> float:
-    """Probability of reconstructing ``x`` from ``y_prime`` via the backward model."""
-    cfg = cfg or RewardConfig()
-    return float(content_reward_batch(back_model, [y_prime], [x], cfg)[0])
 
 
 def content_reward_batch(back_model: Seq2Seq, y_primes: list[Sentence],
@@ -90,33 +64,6 @@ def combine_batch(r_style: np.ndarray, r_content: np.ndarray, beta: float) -> np
     return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
-def breakdown(r_style: float, r_content: float, beta: float) -> RewardBreakdown:
-    return RewardBreakdown(r_style=r_style, r_content=r_content,
-                           r_total=combine(r_style, r_content, beta))
-
-
-def bleu_content_reward(back_model: Seq2Seq, y_prime: Sentence, x: Sentence) -> float:
-    """Round-trip BLEU content signal (ablation flag; weaker than the default).
-
-    Greedy-decodes the reconstruction of ``y_prime`` and scores it against
-    ``x`` with the smoothed sentence-level matcher, scaled to [0, 1].
-    """
-    if y_prime.ids is None or x.ids is None or not y_prime.ids or not x.ids:
-        raise EmptySequenceError("round-trip BLEU needs non-empty sentences")
-    round_trip = back_model.greedy_decode(y_prime, DecodeConfig(max_len=len(x.ids) + 5))
-    return sentence_bleu_smoothed(round_trip.surface, [x.surface]) / 100.0
-
-
-def content_reward_any(back_model: Seq2Seq, y_primes: list[Sentence],
-                       xs: list[Sentence], cfg: RewardConfig) -> np.ndarray:
-    """Dispatch on the configured content-reward variant."""
-    if cfg.content_variant == "round_trip_bleu":
-        return np.array([
-            bleu_content_reward(back_model, yp, x) for yp, x in zip(y_primes, xs)
-        ])
-    return content_reward_batch(back_model, y_primes, xs, cfg)
-
-
 def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
                      y_primes: list[Sentence], xs: list[Sentence],
                      target: StyleLabel, cfg: RewardConfig,
@@ -130,6 +77,6 @@ def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
         vp = [y_primes[i] for i in valid]
         vx = [xs[i] for i in valid]
         r_style[valid] = style_reward_batch(clf, vp, target)
-        r_content[valid] = content_reward_any(back_model, vp, vx, cfg)
+        r_content[valid] = content_reward_batch(back_model, vp, vx, cfg)
     return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)
 

@@ -4,7 +4,7 @@ One ``Seq2Seq`` instance is one mapping model.  The encoder is one
 whole-sequence ``lstm_cell`` node.  With the target known (training and
 ``log_prob`` scoring) the decoder is one too: the attention context never
 feeds back into the decoder LSTM, so attention and the output layer then run
-once over all B*T target steps.  Sampling and greedy/beam decoding feed each
+once over all B*T target steps.  Sampling and greedy decoding feed each
 emitted token back and so step through the same ops one step at a time; the
 two paths share every layer, so a sample's reported log-probability agrees
 with an independent ``log_prob`` call on it.
@@ -18,8 +18,6 @@ rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -29,21 +27,6 @@ from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
 
 MASK_NEG = -1e9  # additive score for padded source positions; exp underflows to 0
-
-
-@dataclass
-class DecodeConfig:
-    max_len: int | None = None  # None: source length + 5, capped at 32
-    mode: str = "greedy"  # greedy | sample
-    temperature: float = 1.0
-    seed: int = 0
-    beam_width: int = 1
-
-
-@dataclass
-class SampleBatch:
-    sentences: list[Sentence]
-    log_probs: np.ndarray  # (K,), each equals log_prob(model, source, sample)
 
 
 def _default_max_len(source_len: int, cap: int = 32) -> int:
@@ -180,12 +163,12 @@ class Seq2Seq:
         emitted: list[np.ndarray] = []
         for _ in range(max_len):
             logits, hc = self._decode_step(tok, hc, keys, attn_bias)
-            logp = _log_softmax_values(logits.value)
+            logp = ad.log_softmax_values(logits.value)
             if rng is None:
                 chosen = logits.value.argmax(axis=1)
             else:
                 scaled = logits.value / temperature if temperature != 1.0 else logits.value
-                probs = _softmax_values(scaled)
+                probs = ad.softmax_values(scaled)
                 u = rng.random(rows)
                 chosen = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
                 chosen = np.minimum(chosen, logits.value.shape[1] - 1)
@@ -224,12 +207,6 @@ class Seq2Seq:
         steps, log_probs = self._run_decode(src_ids, src_mask, max_len, k, rng, temperature)
         return self._rows_to_sentences(steps), log_probs
 
-    def sample(self, source: Sentence, k: int, cfg: DecodeConfig) -> SampleBatch:
-        rng = np.random.default_rng(cfg.seed)
-        max_len = cfg.max_len or _default_max_len(len(source.ids))
-        sents, logps = self.sample_batch([source], k, rng, max_len, cfg.temperature)
-        return SampleBatch(sentences=sents, log_probs=logps)
-
     def greedy_decode_batch(self, sources: list[Sentence],
                             max_len: int | None = None) -> list[Sentence]:
         src_ids, src_mask = pad_batch([s.ids for s in sources])
@@ -237,45 +214,6 @@ class Seq2Seq:
             max_len = _default_max_len(max(len(s.ids) for s in sources))
         steps, _ = self._run_decode(src_ids, src_mask, max_len, 1, None, 1.0)
         return self._rows_to_sentences(steps)
-
-    def greedy_decode(self, source: Sentence, cfg: DecodeConfig | None = None) -> Sentence:
-        cfg = cfg or DecodeConfig()
-        if source.ids is None or len(source.ids) == 0:
-            raise EmptySequenceError("cannot decode from an empty source")
-        max_len = cfg.max_len or _default_max_len(len(source.ids))
-        if cfg.beam_width > 1:
-            return self.beam_decode(source, cfg)
-        return self.greedy_decode_batch([source], max_len)[0]
-
-    def beam_decode(self, source: Sentence, cfg: DecodeConfig) -> Sentence:
-        """Plain beam search by total log-probability; width 1 equals greedy."""
-        width = cfg.beam_width
-        max_len = cfg.max_len or _default_max_len(len(source.ids))
-        src_ids, src_mask = pad_batch([source.ids])
-        keys, attn_bias, hc = self._encode(src_ids, src_mask)
-        beams = [([BOS], 0.0, hc, False)]  # (prefix, score, state, done)
-        for _ in range(max_len):
-            if all(b[3] for b in beams):
-                break
-            candidates = []
-            for prefix, score, state, done in beams:
-                if done:
-                    candidates.append((score, prefix, state, True))
-                    continue
-                tok = np.array([prefix[-1]], dtype=np.int64)
-                logits, new_state = self._decode_step(tok, state, keys, attn_bias)
-                logp = _log_softmax_values(logits.value)[0]
-                order = np.argsort(-logp, kind="stable")[:width]
-                for tok_id in order:
-                    candidates.append(
-                        (score + float(logp[tok_id]), prefix + [int(tok_id)],
-                         new_state, tok_id == EOS)
-                    )
-            candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-            beams = [(p, s, st, d) for (s, p, st, d) in candidates[:width]]
-        prefix = beams[0][0][1:]  # drop BOS
-        surface = tuple(self.vocab.token_of(i) for i in prefix if i != EOS)
-        return Sentence(surface=surface, ids=tuple(prefix))
 
     # -- training -----------------------------------------------------------
 
@@ -343,13 +281,3 @@ class Seq2Seq:
         model.load_state_dict(arrays)
         return model
 
-
-def _softmax_values(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_values(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualstyle import autodiff as ad
 from dualstyle.classifier import ClassifierConfig, train_classifier
 from dualstyle.corpus import Sentence, SyntheticTaskSpec, Vocabulary, build_vocab, generate_synthetic
 from dualstyle.seq2seq import Seq2Seq
@@ -42,3 +43,9 @@ def small_vocab():
 
 def sentence(vocab: Vocabulary, *tokens: str) -> Sentence:
     return vocab.to_ids(Sentence(surface=tuple(tokens)))
+
+
+def square_sum(t: ad.Tensor) -> ad.Tensor:
+    """sum(t * t) as a scalar node: the flattened row times the flattened column."""
+    n = t.value.size
+    return ad.reshape(ad.matmul(ad.reshape(t, (1, n)), ad.reshape(t, (n, 1))), ())

@@ -6,17 +6,15 @@ import pytest
 from dualstyle import autodiff as ad
 from dualstyle.errors import NaNDetectedError, NonScalarLossError
 
+from conftest import square_sum
+
 RNG = np.random.default_rng(1234)
-
-
-def scalarize(t):
-    return ad.sum_all(ad.mul(t, t)) if t.value.ndim else ad.mul(t, t)
 
 
 def test_square_gradient_is_analytic():
     x = ad.parameter(np.asarray(3.0))
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
+        y = square_sum(x)
     ad.backward(tape, y)
     assert abs(float(x.grad) - 6.0) < 1e-12
 
@@ -34,7 +32,7 @@ def test_unused_parameter_gets_no_gradient():
     x = ad.parameter(np.asarray(2.0))
     unused = ad.parameter(np.ones((3, 3)))
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
+        y = square_sum(x)
     ad.backward(tape, y)
     assert unused.grad is None  # collect_grads turns this into zeros
 
@@ -42,7 +40,7 @@ def test_unused_parameter_gets_no_gradient():
 def test_shared_node_gradient_accumulates():
     x = ad.parameter(np.asarray(3.0))
     with ad.Tape() as tape:
-        y = ad.add(ad.mul(x, x), ad.mul(x, x))
+        y = ad.add(square_sum(x), square_sum(x))
     ad.backward(tape, y)
     assert abs(float(x.grad) - 12.0) < 1e-12
 
@@ -50,7 +48,7 @@ def test_shared_node_gradient_accumulates():
 def test_non_scalar_loss_rejected():
     x = ad.parameter(np.ones(3))
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
+        y = ad.scale(x, 2.0)
     with pytest.raises(NonScalarLossError):
         ad.backward(tape, y)
 
@@ -58,7 +56,7 @@ def test_non_scalar_loss_rejected():
 def test_nan_loss_rejected():
     x = ad.parameter(np.asarray(np.inf))
     with ad.Tape() as tape:
-        y = ad.mul(x, x)
+        y = square_sum(x)
     with pytest.raises(NaNDetectedError):
         ad.backward(tape, y)
 
@@ -66,16 +64,18 @@ def test_nan_loss_rejected():
 def test_softmax_rows_are_distributions():
     for _ in range(20):
         a = RNG.normal(0, 5, (7, 11))
-        out = ad.softmax(ad.constant(a)).value
+        out = ad.softmax_values(a)
         assert (out >= 0).all()
         assert np.abs(out.sum(axis=-1) - 1.0).max() < 1e-12
+        assert np.abs(np.log(out) - ad.log_softmax_values(a)).max() < 1e-12
 
 
 def test_constant_function_has_zero_gradients():
     x = ad.parameter(RNG.normal(0, 1, (4,)))
 
     def fn(params):
-        return ad.sum_all(ad.mul(ad.constant(np.zeros(4)), params[0]))
+        return ad.reshape(ad.matmul(ad.constant(np.zeros((1, 4))),
+                                    ad.reshape(params[0], (4, 1))), ())
 
     assert ad.grad_check(fn, [x]) == 0.0
 
@@ -85,8 +85,7 @@ def test_constant_function_has_zero_gradients():
 # ---------------------------------------------------------------------------
 
 def _mean_sq(t):
-    n = t.value.size
-    return ad.scale(ad.sum_all(ad.mul(t, t)), 1.0 / n)
+    return ad.scale(square_sum(t), 1.0 / t.value.size)
 
 
 def make_primitive_cases():
@@ -100,7 +99,6 @@ def make_primitive_cases():
     filt = rng.normal(0, 0.8, (2, 3, 4))
     valid = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=bool)
     keys = rng.normal(0, 0.8, (2, 4, 3))
-    w2 = rng.normal(0, 0.8, (2, 4))
     relu_in = rng.normal(0, 1.0, (2, 3))
     relu_in[np.abs(relu_in) < 0.05] = 0.2  # keep clear of the kink
     ragged = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
@@ -109,30 +107,21 @@ def make_primitive_cases():
         "add": ([a23, b23], lambda p: _mean_sq(ad.add(p[0], p[1]))),
         "add_broadcast": ([a23, rng.normal(0, 1, (3,))],
                           lambda p: _mean_sq(ad.add(p[0], p[1]))),
-        "sub": ([a23, b23], lambda p: _mean_sq(ad.sub(p[0], p[1]))),
-        "mul": ([a23, b23], lambda p: _mean_sq(ad.mul(p[0], p[1]))),
         "scale": ([a23], lambda p: _mean_sq(ad.scale(p[0], -1.7))),
         "matmul": ([a23, m34], lambda p: _mean_sq(ad.matmul(p[0], p[1]))),
-        "tanh": ([a23], lambda p: _mean_sq(ad.tanh(p[0]))),
-        "sigmoid": ([a23], lambda p: _mean_sq(ad.sigmoid(p[0]))),
         "relu": ([relu_in], lambda p: _mean_sq(ad.relu(p[0]))),
-        "softmax": ([a23], lambda p: _mean_sq(ad.softmax(p[0]))),
-        "log_softmax": ([a23], lambda p: _mean_sq(ad.log_softmax(p[0]))),
         "embedding": ([m34], lambda p: _mean_sq(ad.embedding(p[0], ids))),
         "concat": ([a23, b23], lambda p: _mean_sq(ad.concat([p[0], p[1]], axis=1))),
         "take": ([x_btE], lambda p: ad.add(_mean_sq(ad.take(p[0], np.s_[..., 1:3])),
                                            _mean_sq(ad.take(p[0], np.s_[:, -1])))),
         "repeat_rows": ([a23], lambda p: _mean_sq(ad.repeat_rows(p[0], 3))),
         "reshape": ([a23], lambda p: _mean_sq(ad.reshape(p[0], (3, 2)))),
-        "sum_all": ([a23], lambda p: ad.mul(ad.sum_all(p[0]), ad.sum_all(p[0]))),
-        "masked_sum": ([a23], lambda p: ad.masked_sum(ad.mul(p[0], p[0]), mask)),
-        "masked_mean": ([a23], lambda p: ad.masked_mean(ad.mul(p[0], p[0]), mask)),
+        "sum_all": ([a23], lambda p: square_sum(ad.sum_all(p[0]))),
+        "masked_sum": ([a23], lambda p: square_sum(ad.masked_sum(p[0], mask))),
         "cross_entropy": ([a23], lambda p: _mean_sq(ad.cross_entropy(p[0], np.array([1, 0])))),
         "conv1d": ([x_btE, filt], lambda p: _mean_sq(ad.conv1d(p[0], p[1]))),
         "max_over_time": ([x_btE], lambda p: _mean_sq(
             ad.max_over_time(ad.conv1d(p[0], ad.constant(filt)), valid))),
-        "dot_rows": ([a23, keys], lambda p: _mean_sq(ad.dot_rows(p[0], p[1]))),
-        "mix_rows": ([w2, keys], lambda p: _mean_sq(ad.mix_rows(p[0], p[1]))),
         "affine": ([a23, m34, rng.normal(0, 1, (4,))],
                    lambda p: _mean_sq(ad.affine(p[0], p[1], p[2]))),
         "tanh_affine": ([a23, m34, rng.normal(0, 1, (4,))],
@@ -179,9 +168,8 @@ def test_composed_tanh_network_grad_check():
     x = rng.normal(0, 1, (5, 6))
 
     def fn(params):
-        h = ad.tanh(ad.add(ad.matmul(ad.constant(x), params[0]), params[1]))
-        out = ad.add(ad.matmul(h, params[2]), params[3])
-        return ad.scale(ad.sum_all(ad.mul(out, out)), 1.0 / out.value.size)
+        h = ad.tanh_affine(ad.constant(x), params[0], params[1])
+        return _mean_sq(ad.affine(h, params[2], params[3]))
 
     err = ad.grad_check(fn, [w1, b1, w2, b2], samples_per_param=25,
                         rng=np.random.default_rng(0))
@@ -192,12 +180,12 @@ def test_square_grad_check_tight():
     x = ad.parameter(np.asarray(3.0))
 
     def fn(params):
-        return ad.mul(params[0], params[0])
+        return square_sum(params[0])
 
     assert ad.grad_check(fn, [x], h=1e-5) < 1e-6
 
 
 def test_inference_mode_records_nothing():
     x = ad.parameter(np.ones((2, 2)))
-    y = ad.mul(x, x)  # no tape active
+    y = square_sum(x)  # no tape active
     assert y.vjp is None and y.parents == ()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualstyle import checkpoint
 from dualstyle.checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 
 
@@ -34,3 +35,50 @@ def test_rejects_foreign_files(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("delta", [-1, -8, 8])
+def test_payload_length_must_match_header(tmp_path, delta):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.arange(4.0), "b": np.ones((2, 3))}, {"v": 1})
+    data = path.read_bytes()
+    path.write_bytes(data[:delta] if delta < 0 else data + b"\0" * delta)
+    with pytest.raises(ValueError, match="m.ckpt"):
+        load_checkpoint(path)
+
+
+class _DiskFullAfterFirstWrite:
+    """A file that accepts its first write and fails on the next one."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.zeros(3)}, {"v": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: _DiskFullAfterFirstWrite(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.ones(3)}, {"v": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualstyle.classifier import ClassifierConfig, TextClassifier, style_accuracy, train_classifier
+from dualstyle.classifier import ClassifierConfig, TextClassifier, train_classifier
 from dualstyle.corpus import (
     Sentence,
     StyleCorpus,
@@ -13,7 +13,7 @@ from dualstyle.corpus import (
     generate_synthetic,
     lexicon_oracle_label,
 )
-from dualstyle.errors import EmptyListError, EmptySequenceError
+from dualstyle.errors import EmptySequenceError
 
 from conftest import sentence
 
@@ -25,16 +25,21 @@ def zeroed_classifier(vocab) -> TextClassifier:
     return clf
 
 
+def style_accuracy(clf: TextClassifier, sentences, target: StyleLabel) -> float:
+    """Share of sentences whose predicted class is the target style (the ACC metric)."""
+    return float((clf.predict(sentences) == target.index).mean())
+
+
 def test_zero_classifier_is_uniform(small_vocab):
     clf = zeroed_classifier(small_vocab)
-    probs = clf.classify_prob(sentence(small_vocab, "a", "b"))
+    probs = clf.classify_prob_batch([sentence(small_vocab, "a", "b")])[0]
     assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
 
 
 def test_logit_gap_softmax_value(small_vocab):
     clf = zeroed_classifier(small_vocab)
     clf.params["lin_b"].value = np.array([2.0, 0.0])
-    probs = clf.classify_prob(sentence(small_vocab, "c"))
+    probs = clf.classify_prob_batch([sentence(small_vocab, "c")])[0]
     expect = math.exp(2.0) / (math.exp(2.0) + 1.0)
     assert abs(probs[0] - expect) < 1e-12
     assert abs(probs[0] - 0.881) < 1e-3
@@ -56,7 +61,7 @@ def test_probabilities_sum_to_one(small_vocab):
 def test_empty_sentence_rejected(small_vocab):
     clf = zeroed_classifier(small_vocab)
     with pytest.raises(EmptySequenceError):
-        clf.classify_prob(Sentence(surface=(), ids=(3,)))
+        clf.classify_prob_batch([Sentence(surface=(), ids=(3,))])
 
 
 def test_style_accuracy_counts(small_vocab):
@@ -85,12 +90,6 @@ def test_mixed_accuracy_fraction(small_vocab):
     preds = np.concatenate([probs_hit, probs_miss])
     acc = float((preds == 1).mean())
     assert acc == 0.75
-
-
-def test_style_accuracy_empty_list(small_vocab):
-    clf = zeroed_classifier(small_vocab)
-    with pytest.raises(EmptyListError):
-        style_accuracy(clf, [], StyleLabel(0, "neg"))
 
 
 def test_training_separable_task(tiny_task, tiny_classifier):

@@ -9,7 +9,6 @@ from dualstyle.corpus import StyleLabel, tokenize
 from dualstyle.errors import LengthMismatchError, MissingReferenceError
 from dualstyle.evaluation import (
     corpus_bleu,
-    emit_curves,
     evaluate,
     evaluate_sentences,
     g2h2,
@@ -194,17 +193,3 @@ def test_gold_outputs_score_high(tiny_task, tiny_classifier):
     assert report.bleu == pytest.approx(100.0, abs=1e-9)
     assert report.acc >= 98.0
 
-
-def test_emit_curves(tmp_path):
-    history = [
-        {"epoch": 0, "iteration": 10, "mean_r_style": 0.5, "mean_r_content": 0.25,
-         "mean_r_total": 0.3, "dev_acc": 80.0, "dev_bleu": 50.0, "dev_score": 61.5,
-         "dev_gold_bleu": None, "dev_gold_h2": None},
-    ]
-    text = emit_curves(history, tmp_path / "curves.csv")
-    lines = text.strip().split("\n")
-    assert len(lines) == 2
-    assert lines[0].startswith("epoch,iteration,mean_r_style")
-    assert lines[1].split(",")[0] == "0"
-    assert "nan" in lines[1]
-    assert (tmp_path / "curves.csv").read_text() == text

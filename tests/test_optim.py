@@ -5,6 +5,8 @@ from dualstyle import autodiff as ad
 from dualstyle.errors import NaNDetectedError, ShapeMismatchError
 from dualstyle.optim import AdamState, adam_step, clip_global_norm, collect_grads
 
+from conftest import square_sum
+
 
 def test_first_step_closed_form():
     # bias correction makes m_hat = g and v_hat = g^2, so the step is -lr
@@ -108,7 +110,7 @@ def test_in_place_adam_is_bit_identical_to_expression_form():
 def test_collect_grads_hands_over_and_clears():
     p = {"w": ad.parameter(np.array([1.0, -2.0])), "u": ad.parameter(np.ones(3))}
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(p["w"], p["w"]))
+        loss = square_sum(p["w"])
     ad.backward(tape, loss)
     held = p["w"].grad
     grads = collect_grads(p)
@@ -121,7 +123,7 @@ def test_collect_grads_hands_over_and_clears():
 def test_collect_grads_fills_zeros():
     p = {"w": ad.parameter(np.ones(2)), "u": ad.parameter(np.ones(3))}
     with ad.Tape() as tape:
-        loss = ad.sum_all(ad.mul(p["w"], p["w"]))
+        loss = square_sum(p["w"])
     ad.backward(tape, loss)
     grads = collect_grads(p)
     assert np.allclose(grads["w"], 2.0)

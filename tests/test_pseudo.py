@@ -13,7 +13,6 @@ from dualstyle.corpus import (
 from dualstyle.optim import AdamState
 from dualstyle.pseudo import (
     back_translate_batch,
-    back_translate_pair,
     build_style_lexicon,
     export_pairs_tsv,
     make_pretrain_pairs,
@@ -145,7 +144,7 @@ def test_lexicon_build_is_reproducible(tiny_task):
 def test_back_translate_contract(small_vocab):
     model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=2)
     s = sentence(small_vocab, "a", "b", "c")
-    pair = back_translate_pair(model, s, iteration=17)
+    [pair] = back_translate_batch(model, [s], iteration=17)
     assert pair.target is s
     assert pair.provenance == "back_translation"
     assert pair.iteration == 17
@@ -171,8 +170,8 @@ def test_back_translate_identity_model(small_vocab):
 def test_export_tsv(tmp_path, small_vocab):
     model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=2)
     s = sentence(small_vocab, "a", "b")
-    pair = back_translate_pair(model, s, iteration=3)
-    export_pairs_tsv([pair], tmp_path / "pairs.tsv")
+    pairs = back_translate_batch(model, [s], iteration=3)
+    export_pairs_tsv(pairs, tmp_path / "pairs.tsv")
     line = (tmp_path / "pairs.tsv").read_text().strip()
     fields = line.split("\t")
     assert fields[1] == "a b"

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dualstyle import autodiff as ad
-from dualstyle.corpus import BOS, EOS, Sentence, Vocabulary, pad_batch
+from dualstyle.corpus import BOS, EOS, PAD, Sentence, Vocabulary, pad_batch
 from dualstyle.errors import EmptySequenceError
 from dualstyle.optim import AdamState
-from dualstyle.seq2seq import DecodeConfig, Seq2Seq
+from dualstyle.seq2seq import Seq2Seq
 
 from conftest import sentence
 
@@ -80,18 +80,35 @@ def test_near_deterministic_degenerate_vocab(tiny):
 
 def test_sample_log_probs_match_rescoring(tiny):
     vocab, model, source = tiny
-    batch = model.sample(source, 200, DecodeConfig(max_len=3, seed=11))
-    assert len(batch.sentences) == 200
-    for s, lp in zip(batch.sentences, batch.log_probs):
+    sents, log_probs = model.sample_batch([source], 200, np.random.default_rng(11), max_len=3)
+    assert len(sents) == 200
+    for s, lp in zip(sents, log_probs):
         assert lp <= 1e-12
         assert abs(model.log_prob(source, s) - lp) < 1e-10
 
 
+def test_sampled_reserved_ids_are_kept_and_rescored(tiny):
+    # PAD gets as much output mass as the content token, so it is drawn
+    # mid-sequence and then fed back as the next input
+    vocab, _, source = tiny
+    model = Seq2Seq(vocab, embed_dim=4, hidden_dim=5, seed=7)
+    bias = np.full(len(vocab), -1e9)
+    bias[[PAD, EOS, 4]] = 0.0
+    model.params["out_b"].value = bias
+    sents, log_probs = model.sample_batch([source], 64, np.random.default_rng(3), max_len=4)
+    mid = [(s, lp) for s, lp in zip(sents, log_probs) if PAD in s.ids[:-1]]
+    assert mid
+    for s, lp in mid:
+        assert s.surface[s.ids.index(PAD)] == vocab.token_of(PAD)
+        assert abs(model.log_prob_batch([source], [s])[0] - lp) < 1e-10
+
+
 def test_temperature_limit_is_greedy(tiny):
     vocab, model, source = tiny
-    greedy = model.greedy_decode(source, DecodeConfig(max_len=3))
-    batch = model.sample(source, 16, DecodeConfig(max_len=3, seed=5, temperature=1e-8))
-    for s in batch.sentences:
+    greedy = model.greedy_decode_batch([source], max_len=3)[0]
+    sents, _ = model.sample_batch([source], 16, np.random.default_rng(5), max_len=3,
+                                  temperature=1e-8)
+    for s in sents:
         assert s.ids == greedy.ids
 
 
@@ -121,8 +138,8 @@ def test_greedy_decode_deterministic_and_truncates(small_vocab):
     bias[4] = 60.0  # EOS never argmaxes
     model.params["out_b"].value = bias
     src = sentence(small_vocab, "a", "b")
-    out1 = model.greedy_decode(src, DecodeConfig(max_len=6))
-    out2 = model.greedy_decode(src, DecodeConfig(max_len=6))
+    out1 = model.greedy_decode_batch([src], max_len=6)[0]
+    out2 = model.greedy_decode_batch([src], max_len=6)[0]
     assert out1.ids == out2.ids
     assert len(out1.ids) == 6 and EOS not in out1.ids
 
@@ -133,7 +150,7 @@ def test_default_max_len_rule(small_vocab):
     bias[4] = 60.0
     model.params["out_b"].value = bias
     src = sentence(small_vocab, *(["a"] * 3))
-    out = model.greedy_decode(src)
+    out = model.greedy_decode_batch([src])[0]
     assert len(out.ids) == len(src.ids) + 5  # 4 tokens incl EOS, plus 5
 
 
@@ -182,7 +199,7 @@ def test_identity_finetune_reproduces_heldout(small_vocab):
         model.mle_step([(s, s) for s in batch], opt)
     for held in (("b", "d", "a"), ("e", "c"), ("a", "e", "b", "c")):
         s = sentence(small_vocab, *held)
-        assert model.greedy_decode(s).surface == s.surface
+        assert model.greedy_decode_batch([s])[0].surface == s.surface
 
 
 def test_pad_positions_do_not_contribute(small_vocab):
@@ -288,16 +305,6 @@ def test_mle_step_tape_size_does_not_grow_with_length(small_vocab, monkeypatch):
         tgt = sentence(small_vocab, *(["d", "e"] * 6)[:length])
         model.mle_step([(src, tgt), (tgt, src)], opt)
     assert sizes[0] == sizes[1]
-
-
-def test_beam_width_one_equals_greedy(small_vocab):
-    model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=21)
-    src = sentence(small_vocab, "a", "c", "e")
-    greedy = model.greedy_decode(src, DecodeConfig(max_len=5))
-    beam1 = model.beam_decode(src, DecodeConfig(max_len=5, beam_width=1))
-    assert greedy.ids == beam1.ids
-    beam3 = model.beam_decode(src, DecodeConfig(max_len=5, beam_width=3))
-    assert model.log_prob(src, beam3) >= model.log_prob(src, greedy) - 1e-9
 
 
 def test_clone_and_checkpoint_round_trip(small_vocab, tmp_path):
