@@ -216,7 +216,8 @@ def concat(parts, axis: int = -1) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """Basic-index view ``a[index]`` (slices and integers, no fancy index)."""
+    """``a[index]`` for slices, integers, or integer arrays with no repeated
+    element (the backward adds into ``a[index]`` without accumulating repeats)."""
     a = as_tensor(a)
     out = a.value[index]
 
@@ -405,7 +406,7 @@ def _affine_vjp(a: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
         _acc(b, gz_rows.sum(axis=0))
 
 
-def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
+def lstm_cell(xw, index, hc, wh) -> Tensor:
     """LSTM recurrence over a whole sequence in one node.
 
     Each input is one of a few distinct embedding rows, so its projection
@@ -414,9 +415,10 @@ def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
     the row that feeds each sequence at each step.  ``hc`` is the initial
     state [h | c] of shape (B, 2H); the output stacks the state after every
     step, (B, T, 2H).  Gate order in the preactivation is (input, forget,
-    output, candidate).  ``mask`` is an optional constant (B, T) 0/1 array:
-    where it is 0 the step is skipped and the previous state carries through.
-    A (B,) ``index`` is a single step and returns (B, 2H).
+    output, candidate).  Every step of every row is computed: for ragged
+    rows the caller reads each row's state at its last real step and gives
+    the padded steps' outputs no gradient.  A (B,) ``index`` is a single step
+    and returns (B, 2H).
     """
     xw, hc, wh = (as_tensor(t) for t in (xw, hc, wh))
     index = np.asarray(index)
@@ -424,7 +426,6 @@ def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
     idx = index if seq else index[:, None]
     batch, steps = idx.shape
     hd = hc.value.shape[1] // 2
-    skip = None if mask is None else ~np.asarray(mask, dtype=bool)
     out = np.empty((batch, steps, 2 * hd))
     # Activations are kept for the backward only while a tape records.
     taped = bool(_TAPE_STACK)
@@ -449,8 +450,6 @@ def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
         tc = tcs[:, t] if taped else np.empty((batch, hd))
         np.tanh(state[:, hd:], out=tc)
         np.multiply(go, tc, out=state[:, :hd])
-        if skip is not None:
-            np.copyto(state, prev, where=skip[:, t, None])
         prev = state
 
     def vjp(g):
@@ -464,11 +463,6 @@ def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
             c_prev = hc.value[:, hd:] if t == 0 else out[:, t - 1, hd:]
             dh = g[:, t, :hd] + dh_next
             dc_out = g[:, t, hd:] + dc_next
-            if skip is not None:
-                # a skipped step hands its gradient straight to the previous state
-                s = skip[:, t, None]
-                dh_skip, dc_skip = np.where(s, dh, 0.0), np.where(s, dc_out, 0.0)
-                dh, dc_out = np.where(s, 0.0, dh), np.where(s, 0.0, dc_out)
             dc = 1.0 - tc * tc
             dc *= dh * go
             dc += dc_out
@@ -485,9 +479,6 @@ def lstm_cell(xw, index, hc, wh, mask=None) -> Tensor:
                 break
             dh_next = dg @ wh.value.T
             dc_next = dc * gf
-            if skip is not None:
-                dh_next += dh_skip
-                dc_next += dc_skip
         rows = dgates.reshape(batch * steps, 4 * hd)
         if not xw.constant:
             # scatter-add of every step's gate gradient into its xw row, as

@@ -3,10 +3,9 @@
 Layout: magic line, one JSON header line listing metadata and parameter
 entries (name, shape, dtype), then the arrays' row-major bytes concatenated
 in header order.  Writing is byte-deterministic for identical inputs and
-round-trips float64 losslessly.  A write goes to a temporary file in the
-same directory that then replaces the target, so a crash mid-write leaves
-the previous checkpoint whole; loading rejects a payload whose length
-differs from what the header lists.
+round-trips float64 losslessly.  A write goes through ``write_atomic``, so a
+crash mid-write leaves the previous checkpoint whole; loading rejects a
+payload whose length differs from what the header lists.
 """
 
 from __future__ import annotations
@@ -39,15 +38,23 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         "params": entries,
     }
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    write_atomic(path, [MAGIC, header_line.encode("utf-8"), *blobs])
+
+
+def write_atomic(path, chunks) -> None:
+    """Write byte ``chunks`` to ``path`` all or nothing.
+
+    They go to a temporary file in the same directory, which is flushed to
+    disk and then renamed over ``path``, so a crash mid-write leaves the
+    previous file whole.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(header_line.encode("utf-8"))
-            for blob in blobs:
-                fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

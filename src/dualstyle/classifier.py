@@ -30,6 +30,11 @@ class ClassifierConfig:
     seed: int = 0
 
 
+def predicted_class(probs: np.ndarray) -> np.ndarray:
+    """Argmax class per row of (B, 2) probabilities; exact ties go to class 0."""
+    return np.where(probs[:, 1] > probs[:, 0], 1, 0)
+
+
 class TextClassifier:
     """Parallel convolutions over token embeddings, max-pooled, to 2 logits."""
 
@@ -85,8 +90,7 @@ class TextClassifier:
 
     def predict(self, sentences: list[Sentence]) -> np.ndarray:
         """Argmax class per sentence; exact ties resolve to class 0."""
-        probs = self.classify_prob_batch(sentences)
-        return np.where(probs[:, 1] > probs[:, 0], 1, 0)
+        return predicted_class(self.classify_prob_batch(sentences))
 
     def freeze(self) -> None:
         self.frozen = True

@@ -88,7 +88,6 @@ DEFAULTS: dict = {
     "anneal_gap": 1000.0,
     "temperature": 1.0,
     "max_decode_len": 32,
-    "log_rewards": True,
     # paths
     "data_dir": "data",
     "run_dir": "runs/default",
@@ -163,7 +162,6 @@ def train_config(cfg: dict) -> TrainConfig:
         grad_clip=cfg["grad_clip"],
         temperature=cfg["temperature"],
         max_decode_len=cfg["max_decode_len"],
-        log_rewards=cfg["log_rewards"],
         seed=cfg["seed"],
     )
 
@@ -347,11 +345,14 @@ def cmd_transfer(cfg: dict, direction: str, in_path, out_path,
 
 def cmd_evaluate(cfg: dict, outputs_path, reference_paths, target_style: str,
                  inputs_path=None, report_dir=None) -> dict:
+    styles = (cfg["style_x"], cfg["style_y"])
+    if target_style not in styles:
+        raise DualStyleError(f"unknown target style {target_style!r}: "
+                             f"expected {styles[0]!r} or {styles[1]!r}")
+    target = StyleLabel(styles.index(target_style), target_style)
     run_dir = Path(cfg["run_dir"])
     vocab = load_vocab(run_dir)
     clf = TextClassifier.load(run_dir / "checkpoints" / "cls.ckpt", vocab)
-    target = (StyleLabel(0, cfg["style_x"]) if target_style == cfg["style_x"]
-              else StyleLabel(1, cfg["style_y"]))
     report = evaluate(outputs_path, reference_paths, clf, target,
                       report_dir=report_dir, inputs_path=inputs_path)
     _log(event="evaluate", acc=round(report.acc, 1), bleu=round(report.bleu, 1),

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
-from .evaluation import corpus_bleu, g2h2
+from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
 from .pseudo import PseudoPair, back_translate_batch
 from .rewards import RewardConfig, combined_rewards
@@ -73,7 +73,6 @@ class TrainConfig:
     grad_clip: float = 5.0
     temperature: float = 1.0
     max_decode_len: int = 32
-    log_rewards: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -252,30 +251,6 @@ def pretrain(model_f: Seq2Seq, model_g: Seq2Seq,
 # dev-set scoring
 # ---------------------------------------------------------------------------
 
-def _direction_metrics(model: Seq2Seq, inputs: list[Sentence],
-                       clf: TextClassifier, target: StyleLabel,
-                       refs: list[list[Sentence]] | None,
-                       max_len: int) -> dict:
-    outputs = model.greedy_decode_batch(inputs, max_len=max_len)
-    nonempty = [i for i, o in enumerate(outputs) if len(o.surface) > 0]
-    hits = 0
-    if nonempty:
-        probs = clf.classify_prob_batch([outputs[i] for i in nonempty])
-        preds = (probs[:, 1] > probs[:, 0]).astype(int)
-        hits = int((preds == target.index).sum())
-    acc = 100.0 * hits / len(outputs)
-    bleu_self = corpus_bleu([o.surface for o in outputs],
-                            [[inp.surface] for inp in inputs])
-    metrics = {"acc": acc, "bleu_self": bleu_self,
-               "score": g2h2(acc, bleu_self)[1]}
-    if refs is not None:
-        bleu_gold = corpus_bleu([o.surface for o in outputs],
-                                [[r.surface for r in rr] for rr in refs])
-        metrics["bleu_gold"] = bleu_gold
-        metrics["h2_gold"] = g2h2(acc, bleu_gold)[1]
-    return metrics
-
-
 def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                  corpus: StyleCorpus, cfg: TrainConfig,
                  gold_refs: dict | None = None, split: str = "dev") -> dict:
@@ -288,11 +263,18 @@ def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         ("y2x", model_g, corpus.label_y, corpus.label_x),
     ):
         inputs = corpus.of(src_label, split)
-        refs = None
-        if gold_refs is not None:
-            refs = gold_refs.get((src_label.name, split))
-        out[key] = _direction_metrics(model, inputs, clf, tgt_label, refs,
-                                      cfg.max_decode_len)
+        outputs = model.greedy_decode_batch(inputs, max_len=cfg.max_decode_len)
+        candidates = [o.surface for o in outputs]
+        acc, _ = style_accuracy(outputs, clf, tgt_label)
+        bleu_self = corpus_bleu(candidates, [[inp.surface] for inp in inputs])
+        metrics = {"acc": acc, "bleu_self": bleu_self,
+                   "score": g2h2(acc, bleu_self)[1]}
+        refs = (gold_refs or {}).get((src_label.name, split))
+        if refs is not None:
+            bleu_gold = corpus_bleu(candidates, [[r.surface for r in rr] for rr in refs])
+            metrics["bleu_gold"] = bleu_gold
+            metrics["h2_gold"] = g2h2(acc, bleu_gold)[1]
+        out[key] = metrics
     out["dev_acc"] = (out["x2y"]["acc"] + out["y2x"]["acc"]) / 2.0
     out["dev_bleu"] = (out["x2y"]["bleu_self"] + out["y2x"]["bleu_self"]) / 2.0
     out["dev_score"] = (out["x2y"]["score"] + out["y2x"]["score"]) / 2.0
@@ -353,23 +335,21 @@ _HISTORY_COLUMNS = ("iteration", "epoch", "mean_r_style", "mean_r_content",
 class _RunWriter:
     """history.csv / rewards.csv / checkpoints under one run directory."""
 
-    def __init__(self, run_dir, enabled_rewards: bool, resume_iteration: int | None = None):
+    def __init__(self, run_dir, resume_iteration: int | None = None):
         """``resume_iteration`` continues rewards.csv from that checkpointed
         iteration; history.csv is always rewritten from the saved history."""
         self.run_dir = Path(run_dir) if run_dir is not None else None
-        self.enabled_rewards = enabled_rewards
         if self.run_dir is not None:
             (self.run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
             self.history_path = self.run_dir / "history.csv"
             self.history_path.write_text(",".join(_HISTORY_COLUMNS) + "\n")
-            if enabled_rewards:
-                self.rewards_path = self.run_dir / "rewards.csv"
-                lines = ["iteration,mean_r_style,mean_r_content,mean_r_total\n"]
-                if resume_iteration is not None and self.rewards_path.exists():
-                    # rows past the checkpoint were written by iterations that rerun
-                    kept = self.rewards_path.read_text(encoding="utf-8").splitlines(True)[1:]
-                    lines += [r for r in kept if int(r.split(",", 1)[0]) < resume_iteration]
-                self.rewards_path.write_text("".join(lines), encoding="utf-8")
+            self.rewards_path = self.run_dir / "rewards.csv"
+            lines = ["iteration,mean_r_style,mean_r_content,mean_r_total\n"]
+            if resume_iteration is not None and self.rewards_path.exists():
+                # rows past the checkpoint were written by iterations that rerun
+                kept = self.rewards_path.read_text(encoding="utf-8").splitlines(True)[1:]
+                lines += [r for r in kept if int(r.split(",", 1)[0]) < resume_iteration]
+            self.rewards_path.write_text("".join(lines), encoding="utf-8")
 
     def history(self, row: dict) -> None:
         if self.run_dir is None:
@@ -378,7 +358,7 @@ class _RunWriter:
             fh.write(",".join(_fmt_csv(row[c]) for c in _HISTORY_COLUMNS) + "\n")
 
     def rewards(self, iteration: int, stats_f: dict | None, stats_g: dict | None) -> None:
-        if self.run_dir is None or not self.enabled_rewards:
+        if self.run_dir is None:
             return
         stats = [s for s in (stats_f, stats_g) if s is not None]
         if not stats:
@@ -400,35 +380,17 @@ class _RunWriter:
             save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
             save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
             if state is not None:
-                payload = {
-                    "iteration": state.iteration,
-                    "epoch": state.epoch,
-                    "interval": state.interval,
-                    "last_trigger": state.last_trigger,
-                    "degenerate_count": state.degenerate_count,
-                    "best_score": state.best_score,
-                    "best_epoch": state.best_epoch,
-                    "epochs_since_improvement": state.epochs_since_improvement,
-                    "history": state.history,
-                }
-                (ck / "state.json").write_text(
-                    json.dumps(payload, sort_keys=True), encoding="utf-8"
-                )
+                save_train_state(self.run_dir, state)
+
+
+def save_train_state(run_dir, state: TrainState) -> None:
+    payload = json.dumps(asdict(state), sort_keys=True)
+    write_atomic(Path(run_dir) / "checkpoints" / "state.json", [payload.encode("utf-8")])
 
 
 def load_train_state(run_dir) -> TrainState:
     payload = json.loads((Path(run_dir) / "checkpoints" / "state.json").read_text())
-    state = TrainState()
-    state.iteration = payload["iteration"]
-    state.epoch = payload["epoch"]
-    state.interval = payload["interval"]
-    state.last_trigger = payload["last_trigger"]
-    state.degenerate_count = payload["degenerate_count"]
-    state.best_score = payload["best_score"]
-    state.best_epoch = payload["best_epoch"]
-    state.epochs_since_improvement = payload["epochs_since_improvement"]
-    state.history = payload["history"]
-    return state
+    return TrainState(**payload)
 
 
 def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
@@ -469,7 +431,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         state = load_train_state(run_dir)
         start_epoch = state.epoch
 
-    writer = _RunWriter(run_dir, cfg.log_rewards, state.iteration if resume else None)
+    writer = _RunWriter(run_dir, state.iteration if resume else None)
     for row in state.history:
         writer.history(row)
 

@@ -4,6 +4,12 @@
 n-gram counts against the maximum per-reference count, brevity penalty from
 the closest reference length (ties broken toward the shorter reference), and
 a hard zero when any n-gram order has no match corpus-wide.
+
+``style_accuracy`` is the one ACC rule, shared by file evaluation and the dev
+score that selects checkpoints.  An empty output (a model that emits EOS
+first, written by ``transfer`` as a blank line) cannot be classified: it
+counts as a style miss with P(target) = 0, as degenerate samples get a zero
+style reward in training, and as an empty candidate in BLEU.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .classifier import predicted_class
 from .corpus import Sentence, StyleLabel, ngrams, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
@@ -137,6 +146,25 @@ class EvalReport:
         }
 
 
+def style_accuracy(outputs: list[Sentence], clf,
+                   target: StyleLabel) -> tuple[float, np.ndarray]:
+    """ACC in [0, 100] and P(target style) per output.
+
+    Only the non-empty outputs are classified, in one batch; an empty output
+    is a miss with P(target) = 0.
+    """
+    p_target = np.zeros(len(outputs))
+    nonempty = [i for i, o in enumerate(outputs) if len(o.surface) > 0]
+    hits = 0
+    if nonempty:
+        probs = clf.classify_prob_batch(
+            [clf.vocab.to_ids(outputs[i]) if outputs[i].ids is None else outputs[i]
+             for i in nonempty])
+        p_target[nonempty] = probs[:, target.index]
+        hits = int((predicted_class(probs) == target.index).sum())
+    return 100.0 * hits / len(outputs), p_target
+
+
 def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]],
                        clf, target: StyleLabel, inputs: list[Sentence] | None = None,
                        ) -> EvalReport:
@@ -147,13 +175,9 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
         )
     if any(not r for r in references):
         raise MissingReferenceError("every output needs at least one reference")
-    scored = [clf.vocab.to_ids(o) if o.ids is None else o for o in outputs]
-    probs = clf.classify_prob_batch(scored)
-    # exact 0.5/0.5 ties resolve to class 0, matching TextClassifier.predict
-    preds = (probs[:, 1] > probs[:, 0]).astype(int)
-    acc = 100.0 * float((preds == target.index).mean())
     bleu = corpus_bleu([o.surface for o in outputs],
                        [[r.surface for r in refs] for refs in references])
+    acc, p_target = style_accuracy(outputs, clf, target)
     g2, h2 = g2h2(acc, bleu)
     config_hash = hashlib.sha256(json.dumps({
         "vocab": clf.vocab.content_hash(),
@@ -167,7 +191,7 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
         records.append({
             "input": inputs[i].text() if inputs else "",
             "output": out.text(),
-            "p_target_style": float(probs[i, target.index]),
+            "p_target_style": float(p_target[i]),
             "best_ref_bleu": best_ref,
         })
     return EvalReport(acc=acc, bleu=bleu, g2=g2, h2=h2, n_sentences=len(outputs),
@@ -176,9 +200,13 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
 
 def evaluate(outputs_path, reference_paths, clf, target: StyleLabel,
              report_dir=None, inputs_path=None) -> EvalReport:
-    """Score a file of transferred sentences against line-aligned references."""
+    """Score a file of transferred sentences against line-aligned references.
+
+    A blank line in the outputs file is an empty output; blank reference and
+    input lines are rejected.
+    """
     out_lines = Path(outputs_path).read_text(encoding="utf-8").splitlines()
-    outputs = [tokenize(ln) for ln in out_lines]
+    outputs = [tokenize(ln) if ln.strip() else Sentence(surface=()) for ln in out_lines]
     if not reference_paths:
         raise MissingReferenceError("no reference files given")
     columns = []

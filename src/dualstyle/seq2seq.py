@@ -69,18 +69,22 @@ class Seq2Seq:
     # returns that state after every step, (B, T, 2H).
 
     def _encode(self, src_ids: np.ndarray, src_mask: np.ndarray):
-        """Run the encoder; padded steps leave the state untouched.
+        """Run the encoder over every step, padding included.
 
         Returns the attention keys (B, T, H), their score bias (B, T) and the
-        final state (B, 2H).
+        final state (B, 2H), taken at each row's last real token.  Keys at
+        padded steps get exactly zero attention (their bias is ``MASK_NEG``),
+        so the states past a row's end reach neither output nor gradient.
         """
-        hc0 = ad.constant(np.zeros((src_ids.shape[0], 2 * self.hidden_dim)))
-        states = self._lstm("enc", src_ids, hc0, mask=src_mask)
+        batch = src_ids.shape[0]
+        hc0 = ad.constant(np.zeros((batch, 2 * self.hidden_dim)))
+        states = self._lstm("enc", src_ids, hc0)
         keys = ad.take(states, np.s_[..., : self.hidden_dim])
         attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
-        return keys, attn_bias, ad.take(states, np.s_[:, -1])
+        last = src_mask.sum(axis=1).astype(np.int64) - 1
+        return keys, attn_bias, ad.take(states, (np.arange(batch), last))
 
-    def _lstm(self, lstm: str, ids: np.ndarray, hc, mask=None):
+    def _lstm(self, lstm: str, ids: np.ndarray, hc):
         """Run the ``lstm`` ("enc" or "dec") LSTM over token ids from state ``hc``.
 
         The input projection ``embed[u] @ W_x + b`` is one (U, 4H) ``affine``
@@ -90,7 +94,7 @@ class Seq2Seq:
         p = self.params
         uniq, index = np.unique(ids, return_inverse=True)
         xw = ad.affine(ad.embedding(p["embed"], uniq), p[f"{lstm}_wx"], p[f"{lstm}_b"])
-        return ad.lstm_cell(xw, index.reshape(ids.shape), hc, p[f"{lstm}_wh"], mask=mask)
+        return ad.lstm_cell(xw, index.reshape(ids.shape), hc, p[f"{lstm}_wh"])
 
     def _output_logits(self, states, keys, attn_bias):
         """Attention and output layer over decoder states (..., 2H)."""

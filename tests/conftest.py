@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from dualstyle import autodiff as ad

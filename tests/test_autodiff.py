@@ -101,7 +101,6 @@ def make_primitive_cases():
     keys = rng.normal(0, 0.8, (2, 4, 3))
     relu_in = rng.normal(0, 1.0, (2, 3))
     relu_in[np.abs(relu_in) < 0.05] = 0.2  # keep clear of the kink
-    ragged = np.array([[1, 1, 1, 1], [1, 1, 0, 0]])
 
     cases = {
         "add": ([a23, b23], lambda p: _mean_sq(ad.add(p[0], p[1]))),
@@ -140,13 +139,13 @@ def make_primitive_cases():
             lambda p: _mean_sq(ad.bilinear_attention(
                 p[0], p[1], np.array([[0.0, 0.0, 0.0, -1e9], [0.0, 0.0, -1e9, -1e9]]),
                 p[2]))),
-        # whole sequence, ragged: row 1 skips steps 2-3, so its state carries;
-        # xw row 2 feeds three live steps in both rows
+        # whole sequence: xw rows 2 and 3 each feed several steps, so their
+        # gradients are scatter-adds across steps and rows
         "lstm_cell_seq": (
             [rng.normal(0, 0.8, (4, 16)), rng.normal(0, 0.8, (2, 8)),
              rng.normal(0, 0.5, (4, 16))],
             lambda p: _mean_sq(ad.lstm_cell(p[0], np.array([[0, 2, 2, 1], [2, 0, 3, 3]]),
-                                            p[1], p[2], mask=ragged))),
+                                            p[1], p[2]))),
     }
     return cases
 

@@ -3,6 +3,7 @@ import pytest
 
 from dualstyle import checkpoint
 from dualstyle.checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
+from dualstyle.dualrl import TrainState, save_train_state
 
 
 def test_round_trip_lossless(tmp_path):
@@ -47,12 +48,15 @@ def test_payload_length_must_match_header(tmp_path, delta):
         load_checkpoint(path)
 
 
-class _DiskFullAfterFirstWrite:
-    """A file that accepts its first write and fails on the next one."""
+class _DiskFull:
+    """A file with room for ``ROOM`` bytes: a write past that stores what
+    fits and then fails, as on a full disk."""
+
+    ROOM = 20
 
     def __init__(self, fh):
         self.fh = fh
-        self.writes = 0
+        self.written = 0
 
     def __enter__(self):
         return self
@@ -61,24 +65,32 @@ class _DiskFullAfterFirstWrite:
         self.fh.close()
 
     def write(self, data):
-        self.writes += 1
-        if self.writes > 1:
+        room = self.ROOM - self.written
+        self.written += self.fh.write(data[:room])
+        if len(data) > room:
             raise OSError("disk full")
-        return self.fh.write(data)
+        return len(data)
 
     def __getattr__(self, name):
         return getattr(self.fh, name)
 
 
 def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, {"w": np.zeros(3)}, {"v": 1})
-    before = path.read_bytes()
-    monkeypatch.setattr(checkpoint, "open",
-                        lambda *a, **k: _DiskFullAfterFirstWrite(open(*a, **k)),
-                        raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(path, {"w": np.ones(3)}, {"v": 2})
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    # a model checkpoint and the run state, each interrupted mid-write
+    run_dir = tmp_path / "run"
+    cases = (
+        (tmp_path / "m.ckpt", lambda v: save_checkpoint(
+            tmp_path / "m.ckpt", {"w": np.full(3, float(v))}, {"v": v})),
+        (run_dir / "checkpoints" / "state.json",
+         lambda v: save_train_state(run_dir, TrainState(iteration=v, history=[{"v": v}]))),
+    )
+    for path, write in cases:
+        write(1)
+        before = path.read_bytes()
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir() if p.is_file()] == [path.name]

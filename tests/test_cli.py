@@ -1,0 +1,96 @@
+import json
+
+import numpy as np
+import pytest
+
+from dualstyle import cli
+from dualstyle.corpus import EOS
+from dualstyle.dualrl import TrainConfig, evaluate_dev
+from dualstyle.errors import DualStyleError
+from dualstyle.optim import AdamState
+from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
+from dualstyle.seq2seq import Seq2Seq
+
+
+@pytest.fixture(scope="module")
+def eos_first_run(tmp_path_factory, tiny_task, tiny_classifier):
+    """A run directory whose x->y model emits EOS first on some dev inputs.
+
+    The model is pre-trained on its template pairs until its transfers score
+    a non-zero gold BLEU; its EOS bias is then raised until a quarter of the
+    dev inputs decode to an empty output.
+    """
+    corpus, gold, vocab = tiny_task
+    lex = build_style_lexicon(corpus, lam=1.0, gamma=30.0)
+    pairs_f, _ = make_pretrain_pairs(corpus, lex, vocab)
+    model_f = Seq2Seq(vocab, embed_dim=24, hidden_dim=32, direction="x2y", seed=[5, 1])
+    opt = AdamState(lr=1e-2)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        order = rng.permutation(len(pairs_f))
+        for lo in range(0, len(order), 32):
+            model_f.mle_step([(pairs_f[i].source, pairs_f[i].target)
+                              for i in order[lo: lo + 32]], opt)
+    inputs = corpus.of(corpus.label_x, "dev")
+    max_len = cli.DEFAULTS["max_decode_len"]
+    for _ in range(40):
+        model_f.params["out_b"].value[EOS] += 0.25
+        n_empty = sum(not o.surface for o in model_f.greedy_decode_batch(inputs, max_len))
+        if n_empty >= len(inputs) // 4:
+            break
+    assert 0 < n_empty < len(inputs)
+
+    root = tmp_path_factory.mktemp("cli")
+    run_dir = root / "run"
+    tiny_classifier.save(run_dir / "checkpoints" / "cls.ckpt")
+    model_f.save(run_dir / "checkpoints" / "f_best.ckpt")
+    cli.save_vocab(vocab, run_dir)
+    in_path, ref_path = root / "in.txt", root / "ref0.txt"
+    in_path.write_text("".join(s.text() + "\n" for s in inputs))
+    ref_path.write_text("".join(
+        rr[0].text() + "\n" for rr in gold.refs[(corpus.label_x.name, "dev")]))
+    return {"root": root, "run_dir": run_dir, "model_f": model_f, "n_empty": n_empty,
+            "in_path": in_path, "ref_path": ref_path}
+
+
+def _evaluate_args(run, out_path, target_style):
+    return ["evaluate", "--run-dir", str(run["run_dir"]), "--outputs", str(out_path),
+            "--refs", str(run["ref_path"]), "--target-style", target_style]
+
+
+def test_transfer_then_evaluate_matches_dev_scores(eos_first_run, tiny_task, tiny_models,
+                                                   tiny_classifier):
+    corpus, gold, _ = tiny_task
+    run = eos_first_run
+    dev = evaluate_dev(run["model_f"], tiny_models[1], tiny_classifier, corpus,
+                       TrainConfig(max_decode_len=cli.DEFAULTS["max_decode_len"]),
+                       gold_refs=gold.refs)["x2y"]
+    assert dev["acc"] > 0.0 and dev["bleu_gold"] > 0.0
+
+    out_path, report_dir = run["root"] / "out.txt", run["root"] / "report"
+    assert cli.main(["transfer", "--run-dir", str(run["run_dir"]), "--direction", "x2y",
+                     "--in", str(run["in_path"]), "--out", str(out_path)]) == 0
+    assert out_path.read_text().splitlines().count("") == run["n_empty"]
+    assert cli.main(_evaluate_args(run, out_path, corpus.label_y.name) + [
+        "--inputs", str(run["in_path"]), "--report-dir", str(report_dir)]) == 0
+    report = json.loads((report_dir / "report.json").read_text())
+    assert report["n_sentences"] == len(corpus.of(corpus.label_x, "dev"))
+    assert (report["acc"], report["bleu"]) == (dev["acc"], dev["bleu_gold"])
+    rows = [r.split("\t") for r in (report_dir / "sentences.tsv").read_text().splitlines()[1:]]
+    assert [float(r[2]) for r in rows if r[1] == ""] == [0.0] * run["n_empty"]
+
+
+def test_evaluate_rejects_unknown_target_style(eos_first_run, capsys):
+    ref_path = eos_first_run["ref_path"]
+    assert cli.main(_evaluate_args(eos_first_run, ref_path, "bogus")) == 1
+    err = capsys.readouterr().err
+    assert "DualStyleError" in err and "'negative'" in err and "'positive'" in err
+
+
+def test_config_file_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, "log_rewards": True}))
+    with pytest.raises(DualStyleError, match="log_rewards"):
+        cli.resolve_config(path)
+    path.write_text(json.dumps({"seed": 3}))
+    assert cli.resolve_config(path)["seed"] == 3

@@ -1,6 +1,4 @@
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest

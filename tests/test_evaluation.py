@@ -1,19 +1,18 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualstyle.corpus import StyleLabel, tokenize
-from dualstyle.errors import LengthMismatchError, MissingReferenceError
+from dualstyle.corpus import Sentence, StyleLabel
+from dualstyle.errors import EmptyLineError, LengthMismatchError, MissingReferenceError
 from dualstyle.evaluation import (
     corpus_bleu,
     evaluate,
     evaluate_sentences,
     g2h2,
     sentence_bleu_smoothed,
-    write_report,
+    style_accuracy,
 )
 
 # Published (ACC, BLEU, G2, H2) rows from style-transfer benchmark tables.
@@ -148,7 +147,9 @@ def test_missing_reference_rejected():
 def test_smoothed_sentence_bleu_values():
     assert sentence_bleu_smoothed(toks("a b c d e"), [toks("a b c d e")]) == \
         pytest.approx(100.0, abs=1e-9)
+    # p1 = 4/5; smoothed p2 = (3+1)/(4+1), p3 = (2+1)/(3+1), p4 = (1+1)/(2+1)
     expected = 100.0 * (0.8 * 0.8 * 0.75 * (2 / 3)) ** 0.25
+    assert expected == pytest.approx(75.2128, abs=1e-3)
     assert sentence_bleu_smoothed(toks("a b c d f"), [toks("a b c d e")]) == \
         pytest.approx(expected, abs=1e-9)
     assert sentence_bleu_smoothed(toks("x y"), [toks("a b")]) == 0.0
@@ -193,3 +194,41 @@ def test_gold_outputs_score_high(tiny_task, tiny_classifier):
     assert report.bleu == pytest.approx(100.0, abs=1e-9)
     assert report.acc >= 98.0
 
+
+
+def test_empty_output_is_a_style_miss_in_every_scorer(tmp_path, tiny_task, tiny_classifier):
+    corpus, gold, vocab = tiny_task
+    label_y = StyleLabel(1, corpus.label_y.name)
+    refs = gold.refs[(corpus.label_x.name, "dev")][:6]
+    inputs = corpus.of(corpus.label_x, "dev")[:6]
+    empty = Sentence(surface=())
+    # a gold transfer (a hit), an empty output, the untransferred input (a miss)
+    outputs = [refs[0][0], empty, inputs[2], refs[3][0], empty, inputs[5]]
+    kept = [o for o in outputs if o.surface]
+    assert list(tiny_classifier.predict([vocab.to_ids(o) for o in kept])) == [1, 0, 1, 0]
+    expected_bleu = corpus_bleu([o.surface for o in outputs],
+                                [[r.surface for r in rr] for rr in refs])
+    assert expected_bleu > 0.0
+
+    acc, p_target = style_accuracy(outputs, tiny_classifier, label_y)
+    assert acc == 100.0 * 2 / 6
+    assert p_target[1] == 0.0 and p_target[4] == 0.0
+    assert min(p_target[[0, 3]]) > 0.5 > max(p_target[[2, 5]])
+
+    report = evaluate_sentences(outputs, refs, tiny_classifier, label_y)
+    assert (report.acc, report.bleu) == (acc, expected_bleu)
+    assert [r["p_target_style"] for r in report.records] == list(p_target)
+
+    out_path, ref_path = tmp_path / "outputs.txt", tmp_path / "refs0.txt"
+    out_path.write_text("".join(o.text() + "\n" for o in outputs))
+    assert out_path.read_text().splitlines()[1] == ""
+    ref_path.write_text("".join(rr[0].text() + "\n" for rr in refs))
+    from_file = evaluate(out_path, [ref_path], tiny_classifier, label_y)
+    assert (from_file.acc, from_file.bleu) == (acc, expected_bleu)
+    assert [r["p_target_style"] for r in from_file.records] == list(p_target)
+
+    # blank lines stay errors in the reference and input files
+    with pytest.raises(EmptyLineError):
+        evaluate(out_path, [out_path], tiny_classifier, label_y)
+    with pytest.raises(EmptyLineError):
+        evaluate(ref_path, [ref_path], tiny_classifier, label_y, inputs_path=out_path)

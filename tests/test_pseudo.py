@@ -1,12 +1,9 @@
 import numpy as np
-import pytest
 
 from dualstyle.corpus import (
-    Sentence,
     StyleCorpus,
     StyleLabel,
     SyntheticTaskSpec,
-    build_vocab,
     generate_synthetic,
     tokenize,
 )
