@@ -132,6 +132,23 @@ def test_breakdown_invariants():
     assert r_total[1] == 0.0
 
 
+def test_bleu_content_reward_hand_counts(small_vocab, tiny_task):
+    # candidate  a b c d f  vs reference  a b c d e
+    # p1 = 4/5; smoothed p2 = (3+1)/(4+1); p3 = (2+1)/(3+1); p4 = (1+1)/(2+1)
+    from dualstyle.evaluation import sentence_bleu_smoothed
+    cand = ("a", "b", "c", "d", "f")
+    ref = ("a", "b", "c", "d", "e")
+    expected = 100.0 * (0.8 * 0.8 * 0.75 * (2.0 / 3.0)) ** 0.25
+    assert abs(sentence_bleu_smoothed(cand, [ref]) - expected) < 1e-9
+    assert abs(expected - 75.2128) < 1e-3
+
+    identical = sentence_bleu_smoothed(ref, [ref])
+    assert identical == pytest.approx(100.0 * (1.0) ** 0.25, abs=1e-9)
+
+    disjoint = sentence_bleu_smoothed(("x", "y"), [("p", "q")])
+    assert disjoint == 0.0
+
+
 def test_combined_rewards_zero_for_degenerate(small_vocab, uniform_classifier):
     model = uniform3_model(small_vocab)
     xs = [sentence(small_vocab, "a"), sentence(small_vocab, "a")]
