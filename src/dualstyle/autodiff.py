@@ -1,4 +1,11 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense floating-point numpy arrays.
+
+Every op computes in the dtype of its inputs and gives its gradients that
+dtype too: a graph built on float32 leaves runs and differentiates in
+float32, one built on float64 leaves in float64.  Constant masks, score
+biases and scale factors are cast to the dtype of the values they act on, so
+they never widen a float32 graph (under NumPy 2 promotion a float64 array or
+NumPy scalar would; a Python float does not).
 
 A ``Tape`` records every non-leaf node in creation order, which is already a
 topological order, so the backward pass is a single reversed sweep that
@@ -51,14 +58,20 @@ class Tensor:
         self.grad = None
 
 
+def _floating(value) -> np.ndarray:
+    """``value`` as an array that keeps a float dtype; any other becomes float64."""
+    arr = np.asarray(value)
+    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
+
+
 def parameter(value) -> Tensor:
     """A trainable leaf; gradients accumulate into ``.grad`` on backward."""
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return Tensor(_floating(value))
 
 
 def constant(value) -> Tensor:
     """A non-trainable leaf; backward never allocates a gradient for it."""
-    return Tensor(np.asarray(value, dtype=np.float64), constant=True)
+    return Tensor(_floating(value), constant=True)
 
 
 def as_tensor(x) -> Tensor:
@@ -79,8 +92,11 @@ def _acc(t: Tensor, g):
     if t.constant:
         return
     if t.grad is None:
-        # Copy rather than alias: callers may pass views or shared arrays.
-        t.grad = np.array(g, dtype=np.float64)
+        # Stored, not copied: ``g`` must be an array no one else holds, since
+        # later contributions add into it.  An op whose gradient is a view of
+        # its upstream gradient, or that passes one array on to two parents
+        # (``add``, ``reshape``, ``concat``), copies it before calling this.
+        t.grad = g
     else:
         t.grad += g
 
@@ -104,7 +120,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise NonScalarLossError(f"loss has shape {np.shape(loss.value)}")
     if not np.isfinite(loss.value):
         raise NaNDetectedError("loss is not finite")
-    loss.grad = np.asarray(1.0)
+    loss.grad = np.ones_like(loss.value)
     for node in reversed(tape.nodes):
         if node.grad is None or node.vjp is None:
             continue
@@ -137,16 +153,17 @@ def add(a, b) -> Tensor:
     out = a.value + b.value
 
     def vjp(g):
-        if not a.constant:
-            _acc(a, _unbroadcast(g, a.value.shape))
-        if not b.constant:
-            _acc(b, _unbroadcast(g, b.value.shape))
+        for t in (a, b):
+            if not t.constant:
+                gt = _unbroadcast(g, t.value.shape)
+                _acc(t, gt.copy() if gt is g else gt)
 
     return _record(out, (a, b), vjp)
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
+    c = float(c)
     out = a.value * c
 
     def vjp(g):
@@ -192,7 +209,7 @@ def embedding(table, ids) -> Tensor:
         flat_ids = ids.reshape(-1)
         flat_g = g.reshape(flat_ids.size, -1)
         # scatter-add via one-hot GEMM; much faster than np.add.at here
-        onehot = np.zeros((flat_ids.size, table.value.shape[0]))
+        onehot = np.zeros((flat_ids.size, table.value.shape[0]), dtype=flat_g.dtype)
         onehot[np.arange(flat_ids.size), flat_ids] = 1.0
         table.grad += onehot.T @ flat_g
 
@@ -210,7 +227,7 @@ def concat(parts, axis: int = -1) -> Tensor:
             if not p.constant:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                _acc(p, g[tuple(idx)])
+                _acc(p, g[tuple(idx)].copy())
 
     return _record(out, tuple(parts), vjp)
 
@@ -247,7 +264,7 @@ def reshape(a, shape) -> Tensor:
     out = a.value.reshape(shape)
 
     def vjp(g):
-        _acc(a, g.reshape(a.value.shape))
+        _acc(a, g.reshape(a.value.shape).copy())
 
     return _record(out, (a,), vjp)
 
@@ -265,7 +282,7 @@ def sum_all(a) -> Tensor:
 def masked_sum(a, mask) -> Tensor:
     """Sum of a * mask; the mask is a constant array of weights."""
     a = as_tensor(a)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=a.value.dtype)
     out = np.asarray((a.value * mask).sum())
 
     def vjp(g):
@@ -426,12 +443,13 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
     idx = index if seq else index[:, None]
     batch, steps = idx.shape
     hd = hc.value.shape[1] // 2
-    out = np.empty((batch, steps, 2 * hd))
+    dtype = xw.value.dtype
+    out = np.empty((batch, steps, 2 * hd), dtype=dtype)
     # Activations are kept for the backward only while a tape records.
     taped = bool(_TAPE_STACK)
     if taped:
-        acts = np.empty((batch, steps, 4 * hd))
-        tcs = np.empty((batch, steps, hd))
+        acts = np.empty((batch, steps, 4 * hd), dtype=dtype)
+        tcs = np.empty((batch, steps, hd), dtype=dtype)
     prev = hc.value
     for t in range(steps):
         # gathered per step, so no (B, T, 4H) preactivation array is built
@@ -447,16 +465,16 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
         state = out[:, t]
         np.multiply(gf, prev[:, hd:], out=state[:, hd:])
         state[:, hd:] += gi * gu
-        tc = tcs[:, t] if taped else np.empty((batch, hd))
+        tc = tcs[:, t] if taped else np.empty((batch, hd), dtype=dtype)
         np.tanh(state[:, hd:], out=tc)
         np.multiply(go, tc, out=state[:, :hd])
         prev = state
 
     def vjp(g):
         g = g if seq else g[:, None, :]
-        dgates = np.empty((batch, steps, 4 * hd))
-        dh_next = np.zeros((batch, hd))
-        dc_next = np.zeros((batch, hd))
+        dgates = np.empty((batch, steps, 4 * hd), dtype=dtype)
+        dh_next = np.zeros((batch, hd), dtype=dtype)
+        dc_next = np.zeros((batch, hd), dtype=dtype)
         for t in reversed(range(steps)):
             gi, gf, go, gu = (acts[:, t, k * hd: (k + 1) * hd] for k in range(4))
             tc = tcs[:, t]
@@ -483,7 +501,7 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
         if not xw.constant:
             # scatter-add of every step's gate gradient into its xw row, as
             # one (U, B*T) @ (B*T, 4H) one-hot GEMM
-            onehot = np.zeros((xw.value.shape[0], batch * steps))
+            onehot = np.zeros((xw.value.shape[0], batch * steps), dtype=dtype)
             onehot[idx.reshape(-1), np.arange(batch * steps)] = 1.0
             _acc(xw, onehot @ rows)
         if not hc.constant:
@@ -505,13 +523,20 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
     query, keys, wa = as_tensor(query), as_tensor(keys), as_tensor(wa)
     seq = query.value.ndim == 3
     qs = query.value if seq else query.value[:, None, :]
-    bias = np.asarray(score_bias, dtype=np.float64)[:, None, :]
+    bias = np.asarray(score_bias, dtype=keys.value.dtype)[:, None, :]
     keys_t = keys.value.transpose(0, 2, 1)
     q = _matmul_rows(qs, wa.value)
     scores = q @ keys_t
     scores += bias
     scores -= scores.max(axis=2, keepdims=True)
     alpha = np.exp(scores)
+    # Zero the weights below sqrt(tiny) of the dtype (1e-19 in float32, 1e-154
+    # in float64).  They are far below the rounding of the sums they join, but
+    # in float32 (where e^-88 is already subnormal) a sharp attention has 2-3%
+    # of its weights and of their products with gradients subnormal, and x86
+    # processors run each operation on a subnormal up to 100x slower.  Past
+    # this cut, a weight times any value above sqrt(tiny) stays normal.
+    np.putmask(alpha, alpha < np.sqrt(np.finfo(alpha.dtype).tiny), 0.0)
     alpha /= alpha.sum(axis=2, keepdims=True)
     out = alpha @ keys.value
 

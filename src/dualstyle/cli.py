@@ -4,7 +4,8 @@ Subcommands: synth, pretrain-classifier, make-pseudo, pretrain, train,
 transfer, evaluate, ablate.  Every command is deterministic given --seed.
 Configuration is a flat JSON file; command-line flags override file values,
 and the fully resolved config is written into the run directory before any
-training starts.
+training starts.  ``train --resume`` refuses a config that differs from the
+saved one in anything but the iteration and epoch budgets.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ DESK_PRESET: dict = {
 
 PRESETS = {"desk": DESK_PRESET}
 
+# The only config keys a resumed run may change: its budgets.
+RESUME_MUTABLE = ("max_dual_epochs", "max_iterations")
+
 
 def resolve_config(config_path=None, preset: str | None = None,
                    overrides: dict | None = None) -> dict:
@@ -172,6 +176,17 @@ def write_config(cfg: dict, run_dir) -> None:
     (out / "config.json").write_text(
         json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+def check_resume_config(cfg: dict, run_dir) -> None:
+    """Refuse to resume a run under a config that differs from its saved one
+    in any key outside ``RESUME_MUTABLE``."""
+    saved = json.loads((Path(run_dir) / "config.json").read_text(encoding="utf-8"))
+    changed = sorted(k for k in set(saved) | set(cfg)
+                     if k not in RESUME_MUTABLE and saved.get(k) != cfg.get(k))
+    if changed:
+        raise DualStyleError("cannot resume with a changed config: " + ", ".join(
+            f"{k} {saved.get(k)!r} -> {cfg.get(k)!r}" for k in changed))
 
 
 def save_vocab(vocab: Vocabulary, run_dir) -> None:
@@ -296,6 +311,8 @@ def cmd_pretrain(cfg: dict) -> dict:
 def cmd_train(cfg: dict, resume: bool = False) -> dict:
     corpus = _load_task(cfg)
     run_dir = Path(cfg["run_dir"])
+    if resume:
+        check_resume_config(cfg, run_dir)
     write_config(cfg, run_dir)
     vocab = get_vocab(cfg, run_dir, corpus)
     num = corpus.numericalize(vocab)

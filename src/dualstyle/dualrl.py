@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
 from .evaluation import corpus_bleu, g2h2, style_accuracy
-from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
+from .optim import AdamState, adam_step, clip_global_norm
 from .pseudo import PseudoPair, back_translate_batch
 from .rewards import RewardConfig, combined_rewards
 from .seq2seq import Seq2Seq
@@ -150,12 +149,8 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
     src_ids, src_mask = pad_batch([s.ids for s in sources])
     tgt_ids, tgt_mask = pad_batch([s.ids for s in samples])
     weights = advantage / (batch * k)
-    zero_grads(policy.params)
-    with ad.Tape() as tape:
-        loss = policy._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask,
-                                          row_weights=weights, source_repeat=k)
-    ad.backward(tape, loss)
-    grads = collect_grads(policy.params)
+    _, grads = policy.taped_gradients(lambda model: model._teacher_forced_nll(
+        src_ids, src_mask, tgt_ids, tgt_mask, row_weights=weights, source_repeat=k))
     stats = {
         "mean_reward": float(r_mat.mean()),
         "degenerate": int((valid == 0).sum()),

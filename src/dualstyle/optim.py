@@ -33,6 +33,12 @@ class AdamState:
         self.t = t
 
 
+# Elements per block of ``adam_step``: the six float64 blocks a chunk touches
+# (parameter, gradient, both moments, two scratch) take 1.5 MB, which stays in
+# a 2 MB L2 cache across the update's fourteen passes.
+ADAM_CHUNK = 1 << 15
+
+
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter values.
@@ -40,13 +46,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     The update is ``lr * m_hat / (sqrt(v_hat) + eps)``, evaluated with ``out=``
     ufuncs into two scratch buffers shared by all parameters, in the order the
     plain expression would evaluate it, so the result is bit-identical to it.
+    Each parameter is swept in flat chunks of ``ADAM_CHUNK`` elements, so the
+    passes over a chunk hit cache; every op is elementwise, so chunking
+    changes no value.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
-    size = max((p.value.size for p in params.values()), default=0)
-    scratch1, scratch2 = np.empty(size), np.empty(size)
+    scratch1, scratch2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -59,22 +67,28 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
         m, v = state.m[name], state.v[name]
-        s1 = scratch1[: g.size].reshape(g.shape)
-        s2 = scratch2[: g.size].reshape(g.shape)
-        m *= b1
-        np.multiply(1.0 - b1, g, out=s1)
-        m += s1
-        v *= b2
-        np.multiply(1.0 - b2, g, out=s1)
-        s1 *= g
-        v += s1
-        np.divide(m, correction1, out=s1)  # m_hat
-        s1 *= state.lr
-        np.divide(v, correction2, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 /= s2
-        p.value -= s1
+        if not (p.value.flags.c_contiguous and m.flags.c_contiguous
+                and v.flags.c_contiguous):
+            raise ValueError(f"{name}: adam_step updates C-contiguous arrays in place")
+        flat_p, flat_g, flat_m, flat_v = (a.reshape(-1) for a in (p.value, g, m, v))
+        for lo in range(0, flat_g.size, ADAM_CHUNK):
+            hi = lo + ADAM_CHUNK
+            gc, mc, vc = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            s1, s2 = scratch1[: gc.size], scratch2[: gc.size]
+            mc *= b1
+            np.multiply(1.0 - b1, gc, out=s1)
+            mc += s1
+            vc *= b2
+            np.multiply(1.0 - b2, gc, out=s1)
+            s1 *= gc
+            vc += s1
+            np.divide(mc, correction1, out=s1)  # m_hat
+            s1 *= state.lr
+            np.divide(vc, correction2, out=s2)  # v_hat
+            np.sqrt(s2, out=s2)
+            s2 += state.eps
+            s1 /= s2
+            flat_p[lo:hi] -= s1
     return state
 
 

@@ -14,9 +14,21 @@ takes one of at most |V| values.  Every LSTM call therefore projects each
 distinct token id in its input once (``_lstm``) and the cell gathers the
 rows it needs at each step: a decode step of 256 rows projects at most |V|
 rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
+
+Precision policy: the parameters are float64 masters, and so are the Adam
+state and checkpoints.  Every taped pass (``taped_gradients``, which
+``mle_step`` and the policy-gradient update both go through) runs forward and
+backward in float32 on a working copy of the parameters cast from the
+masters, and upcasts the gradients before clipping and the update (mixed
+precision as in Micikevicius et al. 2018, arXiv:1710.03740).  Everything
+else runs in float64: sampling, ``log_prob_batch`` scoring, greedy decoding
+and gradient checks on the masters, so a sample's log-probability still
+matches its rescoring to float64 round-off.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -24,7 +36,7 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import BOS, EOS, PAD, Sentence, Vocabulary, pad_batch
 from .errors import EmptySequenceError
-from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
+from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
 MASK_NEG = -1e9  # additive score for padded source positions; exp underflows to 0
 
@@ -77,7 +89,8 @@ class Seq2Seq:
         so the states past a row's end reach neither output nor gradient.
         """
         batch = src_ids.shape[0]
-        hc0 = ad.constant(np.zeros((batch, 2 * self.hidden_dim)))
+        hc0 = ad.constant(np.zeros((batch, 2 * self.hidden_dim),
+                                   dtype=self.params["enc_wh"].value.dtype))
         states = self._lstm("enc", src_ids, hc0)
         keys = ad.take(states, np.s_[..., : self.hidden_dim])
         attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
@@ -229,15 +242,29 @@ class Seq2Seq:
         src_ids, src_mask = pad_batch([s.ids for s in sources])
         tgt_ids, tgt_mask = pad_batch([t.ids for t in targets])
         n_tokens = tgt_mask.sum()
-        zero_grads(self.params)
-        with ad.Tape() as tape:
-            total = self._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask)
-            loss = ad.scale(total, 1.0 / n_tokens)
-        ad.backward(tape, loss)
-        grads = collect_grads(self.params)
+        loss, grads = self.taped_gradients(lambda model: ad.scale(
+            model._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask), 1.0 / n_tokens))
         clip_global_norm(grads, grad_clip)
         adam_step(self.params, grads, opt)
-        return float(loss.value)
+        return loss
+
+    def taped_gradients(self, loss_fn) -> tuple[float, dict[str, np.ndarray]]:
+        """Loss and float64 parameter gradients from one float32 taped pass.
+
+        ``loss_fn(model)`` builds the scalar loss on the model it is given: a
+        working copy of this one whose parameters are cast to float32 from the
+        float64 masters.  The copy starts with no gradients, so none need
+        clearing; the gradients come back upcast, ready for clipping and
+        ``adam_step`` on the masters.
+        """
+        work = copy.copy(self)
+        work.params = {k: ad.parameter(p.value.astype(np.float32))
+                       for k, p in self.params.items()}
+        with ad.Tape() as tape:
+            loss = loss_fn(work)
+        ad.backward(tape, loss)
+        grads = {k: g.astype(np.float64) for k, g in collect_grads(work.params).items()}
+        return float(loss.value), grads
 
     def mean_nll(self, pairs: list[tuple[Sentence, Sentence]]) -> float:
         """Mean per-token NLL without updating (for perplexity tracking)."""

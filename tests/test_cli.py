@@ -94,3 +94,27 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         cli.resolve_config(path)
     path.write_text(json.dumps({"seed": 3}))
     assert cli.resolve_config(path)["seed"] == 3
+
+
+def test_resume_refuses_a_changed_config(tmp_path, capsys):
+    cfg = {"train_per_style": 40, "dev_per_style": 10, "test_per_style": 10,
+           "embed_dim": 8, "hidden_dim": 8, "cls_embed_dim": 8, "cls_channels": 4,
+           "cls_epochs": 1, "pretrain_epochs": 1, "max_dual_epochs": 1, "max_iterations": 1,
+           "dual_batch": 16, "sample_size": 2, "max_decode_len": 8,
+           "data_dir": str(tmp_path / "data"), "run_dir": str(tmp_path / "run")}
+
+    def run(command, **changes):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**cfg, **changes}))
+        return cli.main(command + ["--config", str(path)])
+
+    for command in ("synth", "pretrain-classifier", "pretrain", "train"):
+        assert run([command]) == 0
+    saved = (tmp_path / "run" / "config.json").read_text()
+    capsys.readouterr()
+    assert run(["train", "--resume"], dual_lr=5e-4, seed=3) == 1
+    err = capsys.readouterr().err
+    assert "DualStyleError" in err and "dual_lr" in err and "seed" in err
+    assert (tmp_path / "run" / "config.json").read_text() == saved
+    assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["max_dual_epochs"] == 2

@@ -260,14 +260,18 @@ def mini_cfg(**kw):
 
 
 @pytest.fixture(scope="module")
-def warm_models(tiny_task):
-    corpus, _, vocab = tiny_task
+def warm_models(tiny_task, tiny_classifier):
+    """Pre-trained far enough that dev decoding is not empty, so the tests of
+    model selection, early stopping and resume compare real dev scores."""
+    corpus, gold, vocab = tiny_task
     lex = build_style_lexicon(corpus, lam=1.0, gamma=30.0)
     pairs_f, pairs_g = make_pretrain_pairs(corpus, lex, vocab)
     model_f = Seq2Seq(vocab, embed_dim=24, hidden_dim=32, direction="x2y", seed=[5, 1])
     model_g = Seq2Seq(vocab, embed_dim=24, hidden_dim=32, direction="y2x", seed=[5, 2])
-    cfg = TrainConfig(pretrain_epochs=2, pretrain_lr=2e-3, seed=0)
+    cfg = TrainConfig(pretrain_epochs=20, pretrain_lr=1e-2, seed=0)
     pretrain(model_f, model_g, pairs_f, pairs_g, cfg)
+    dev = evaluate_dev(model_f, model_g, tiny_classifier, corpus, mini_cfg(), gold_refs=gold.refs)
+    assert min(dev["dev_acc"], dev["dev_bleu"], dev["dev_score"], dev["dev_gold_bleu"]) > 0.0
     return model_f, model_g
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dualstyle import autodiff as ad
 from dualstyle.errors import NaNDetectedError, ShapeMismatchError
-from dualstyle.optim import AdamState, adam_step, clip_global_norm, collect_grads
+from dualstyle.optim import ADAM_CHUNK, AdamState, adam_step, clip_global_norm, collect_grads
 
 from conftest import square_sum
 
@@ -105,6 +105,31 @@ def test_in_place_adam_is_bit_identical_to_expression_form():
             assert np.array_equal(fast[k].value, ref[k].value), (step, k)
             assert np.array_equal(fast_state.m[k], ref_state.m[k])
             assert np.array_equal(fast_state.v[k], ref_state.v[k])
+
+
+def test_chunked_adam_is_bit_identical_across_chunk_boundaries():
+    # 2 full chunks and a ragged third, next to a parameter smaller than one
+    rng = np.random.default_rng(11)
+    shapes = {"big": (3, (2 * ADAM_CHUNK) // 3 + 1000), "small": (7,)}
+    assert 2 * ADAM_CHUNK < np.prod(shapes["big"]) < 3 * ADAM_CHUNK
+    init = {k: rng.normal(0, 1, s) for k, s in shapes.items()}
+    fast = {k: ad.parameter(a.copy()) for k, a in init.items()}
+    ref = {k: ad.parameter(a.copy()) for k, a in init.items()}
+    fast_state, ref_state = AdamState(lr=3e-3), AdamState(lr=3e-3)
+    for step in range(5):
+        grads = {k: rng.normal(0, 10.0 ** (step % 3 - 1), s) for k, s in shapes.items()}
+        adam_step(fast, {k: g.copy() for k, g in grads.items()}, fast_state)
+        _adam_reference(ref, grads, ref_state)
+        for k in shapes:
+            assert np.array_equal(fast[k].value, ref[k].value), (step, k)
+            assert np.array_equal(fast_state.m[k], ref_state.m[k])
+            assert np.array_equal(fast_state.v[k], ref_state.v[k])
+
+
+def test_adam_rejects_arrays_it_cannot_update_in_place():
+    p = {"w": ad.parameter(np.zeros((3, 2)).T)}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(p, {"w": np.ones((2, 3))}, AdamState())
 
 
 def test_collect_grads_hands_over_and_clears():
