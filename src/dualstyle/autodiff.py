@@ -233,8 +233,9 @@ def concat(parts, axis: int = -1) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """``a[index]`` for slices, integers, or integer arrays with no repeated
-    element (the backward adds into ``a[index]`` without accumulating repeats)."""
+    """``a[index]`` for slices, integers, boolean masks, or integer arrays with
+    no repeated element (the backward adds into ``a[index]`` without
+    accumulating repeats)."""
     a = as_tensor(a)
     out = a.value[index]
 

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import dualrl, pseudo
+from .checkpoint import write_atomic
 from .classifier import ClassifierConfig, TextClassifier, train_classifier
 from .corpus import (
     RESERVED_TOKENS,
@@ -171,11 +172,8 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def write_config(cfg: dict, run_dir) -> None:
-    out = Path(run_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(Path(run_dir) / "config.json",
+                 [(json.dumps(cfg, sort_keys=True, indent=2) + "\n").encode("utf-8")])
 
 
 def check_resume_config(cfg: dict, run_dir) -> None:
@@ -191,9 +189,8 @@ def check_resume_config(cfg: dict, run_dir) -> None:
 
 def save_vocab(vocab: Vocabulary, run_dir) -> None:
     tokens = vocab.id_to_token[len(RESERVED_TOKENS):]
-    (Path(run_dir) / "vocab.txt").write_text(
-        "".join(t + "\n" for t in tokens), encoding="utf-8"
-    )
+    write_atomic(Path(run_dir) / "vocab.txt",
+                 ["".join(t + "\n" for t in tokens).encode("utf-8")])
 
 
 def load_vocab(run_dir) -> Vocabulary:
@@ -206,7 +203,6 @@ def get_vocab(cfg: dict, run_dir, corpus) -> Vocabulary:
     if path.exists():
         return load_vocab(run_dir)
     vocab = build_vocab(corpus.all_train(), min_count=cfg["min_count"])
-    Path(run_dir).mkdir(parents=True, exist_ok=True)
     save_vocab(vocab, run_dir)
     return vocab
 

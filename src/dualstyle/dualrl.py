@@ -22,7 +22,7 @@ from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
 from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm
 from .pseudo import PseudoPair, back_translate_batch
-from .rewards import RewardConfig, combined_rewards
+from .rewards import RewardConfig, combined_rewards, distinct_pairs
 from .seq2seq import Seq2Seq
 
 ABLATIONS = ("rl_plus_mle", "rl_only", "mle_only")
@@ -124,6 +124,12 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
     enabled, and backpropagates (1/(B*k)) * sum advantage * log-prob.  Empty
     samples keep their gradient term with reward 0 but are excluded from the
     baseline means, so the estimator stays unbiased.
+
+    A source group whose k advantages are all zero adds exactly nothing to
+    that sum (with the leave-one-out baseline, any group of k equal rewards),
+    so only the other groups are taped; with none left the gradient is an
+    exact zero array per parameter.  Stats: ``taped_groups`` of B, and
+    ``distinct_pairs``, the non-empty (sample, source) pairs each reward scores.
     """
     batch = len(sources)
     samples, _ = policy.sample_batch(sources, k, rng, max_len, temperature)
@@ -146,24 +152,42 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
         advantage = r_mat
     advantage = advantage.reshape(-1)
 
-    src_ids, src_mask = pad_batch([s.ids for s in sources])
-    tgt_ids, tgt_mask = pad_batch([s.ids for s in samples])
     weights = advantage / (batch * k)
-    _, grads = policy.taped_gradients(lambda model: model._teacher_forced_nll(
-        src_ids, src_mask, tgt_ids, tgt_mask, row_weights=weights, source_repeat=k))
+    groups, rows = taped_groups(weights, k)
+    if groups.size:
+        src_ids, src_mask = pad_batch([sources[i].ids for i in groups])
+        tgt_ids, tgt_mask = pad_batch([samples[i].ids for i in rows])
+        _, grads = policy.taped_gradients(lambda model: model._teacher_forced_nll(
+            src_ids, src_mask, tgt_ids, tgt_mask, row_weights=weights[rows],
+            source_repeat=k))
+    else:
+        grads = {name: np.zeros_like(p.value) for name, p in policy.params.items()}
     stats = {
         "mean_reward": float(r_mat.mean()),
         "degenerate": int((valid == 0).sum()),
+        "taped_groups": int(groups.size),
+        "distinct_pairs": len(distinct_pairs(samples, sources_rep)[0]),
         "samples": samples,
         "rewards": rewards,
     }
     return grads, stats
 
 
+def taped_groups(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The source groups (k consecutive rows each) with a non-zero weight,
+    and the indices of their rows."""
+    groups = np.flatnonzero(weights.reshape(-1, k).any(axis=1))
+    return groups, (groups[:, None] * k + np.arange(k)).reshape(-1)
+
+
 def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
             batch: list[Sentence], target: StyleLabel, cfg: TrainConfig,
             opt: AdamState, rng: np.random.Generator) -> dict:
-    """One policy-gradient update for one direction; returns reward stats."""
+    """One policy-gradient update for one direction.
+
+    Returns the mean rewards, the degenerate count, the gradient norm before
+    clipping and ``reinforce_gradient``'s ``taped_groups`` and ``distinct_pairs``.
+    """
     captured = {}
 
     def reward_fn(samples, sources_rep):
@@ -179,13 +203,16 @@ def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
         policy, batch, cfg.reward.sample_size, reward_fn, cfg.baseline_mode,
         rng, cfg.temperature, cfg.max_decode_len,
     )
-    clip_global_norm(grads, cfg.grad_clip)
+    grad_norm = clip_global_norm(grads, cfg.grad_clip)
     adam_step(policy.params, grads, opt)
     return {
         "mean_r_style": float(np.mean(captured["r_style"])),
         "mean_r_content": float(np.mean(captured["r_content"])),
         "mean_r_total": float(np.mean(captured["r_total"])),
         "degenerate": stats["degenerate"],
+        "grad_norm": grad_norm,
+        "taped_groups": stats["taped_groups"],
+        "distinct_pairs": stats["distinct_pairs"],
     }
 
 
@@ -344,7 +371,8 @@ class _RunWriter:
                 # rows past the checkpoint were written by iterations that rerun
                 kept = self.rewards_path.read_text(encoding="utf-8").splitlines(True)[1:]
                 lines += [r for r in kept if int(r.split(",", 1)[0]) < resume_iteration]
-            self.rewards_path.write_text("".join(lines), encoding="utf-8")
+            # the kept rows exist nowhere else, so a failed rewrite must not lose them
+            write_atomic(self.rewards_path, ["".join(lines).encode("utf-8")])
 
     def history(self, row: dict) -> None:
         if self.run_dir is None:
@@ -432,6 +460,9 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
     best_f = model_f.clone()
     best_g = model_g.clone()
+    if resume and state.best_epoch >= 0:
+        best_f.load_state_dict(load_checkpoint(ck / "f_best.ckpt")[0])
+        best_g.load_state_dict(load_checkpoint(ck / "g_best.ckpt")[0])
     rl_on = cfg.ablation in ("rl_plus_mle", "rl_only")
     mle_on = cfg.ablation in ("rl_plus_mle", "mle_only")
 

@@ -5,6 +5,10 @@ The content reward is the probability that the opposite-direction model
 reconstructs the original sentence from the transferred one.  By default it
 is length-normalized (per-token geometric mean); the raw sequence
 probability is available behind ``length_normalize_content=False``.
+
+A policy often draws the same sample for a source again (over a third of
+the (sample, source) pairs of a desk batch repeat an earlier one), so both
+rewards score each distinct pair once and copy its values to the repeats.
 """
 
 from __future__ import annotations
@@ -64,19 +68,43 @@ def combine_batch(r_style: np.ndarray, r_content: np.ndarray, beta: float) -> np
     return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)
 
 
+def distinct_pairs(y_primes: list[Sentence], xs: list[Sentence],
+                   ) -> tuple[list[int], np.ndarray]:
+    """The distinct non-degenerate (sample, source) pairs of a batch.
+
+    Returns the row of each distinct pair's first occurrence, and for every
+    row the position of its pair in that list (-1 for an empty sample).
+    Pairs are equal when their token ids are.
+    """
+    first: dict[tuple, int] = {}
+    rows: list[int] = []
+    slot = np.full(len(y_primes), -1, dtype=np.int64)
+    for i, (yp, x) in enumerate(zip(y_primes, xs)):
+        if len(yp.surface) > 0:
+            key = (yp.ids, x.ids)
+            if key not in first:
+                first[key] = len(rows)
+                rows.append(i)
+            slot[i] = first[key]
+    return rows, slot
+
+
 def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
                      y_primes: list[Sentence], xs: list[Sentence],
                      target: StyleLabel, cfg: RewardConfig,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (style, content, combined) rewards; degenerate rows get 0."""
-    n = len(y_primes)
-    r_style = np.zeros(n)
-    r_content = np.zeros(n)
-    valid = [i for i, yp in enumerate(y_primes) if len(yp.surface) > 0]
-    if valid:
-        vp = [y_primes[i] for i in valid]
-        vx = [xs[i] for i in valid]
-        r_style[valid] = style_reward_batch(clf, vp, target)
-        r_content[valid] = content_reward_batch(back_model, vp, vx, cfg)
-    return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)
+    """Vectorized (style, content, combined) rewards; degenerate rows get 0.
 
+    Each distinct (sample, source) pair is scored once and its rewards are
+    copied to every row that holds it, so equal pairs get bit-equal rewards.
+    """
+    rows, slot = distinct_pairs(y_primes, xs)
+    r_style = np.zeros(len(y_primes))
+    r_content = np.zeros(len(y_primes))
+    if rows:
+        vp = [y_primes[i] for i in rows]
+        vx = [xs[i] for i in rows]
+        valid = slot >= 0
+        r_style[valid] = style_reward_batch(clf, vp, target)[slot[valid]]
+        r_content[valid] = content_reward_batch(back_model, vp, vx, cfg)[slot[valid]]
+    return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)

@@ -7,7 +7,12 @@ feeds back into the decoder LSTM, so attention and the output layer then run
 once over all B*T target steps.  Sampling and greedy decoding feed each
 emitted token back and so step through the same ops one step at a time; the
 two paths share every layer, so a sample's reported log-probability agrees
-with an independent ``log_prob`` call on it.
+with an independent ``log_prob`` call on it.  A row leaves the step loop once
+it has emitted EOS: its state, attention keys and bias are gathered away, so
+each step computes only the rows still going (as fairseq's
+``SequenceGenerator`` drops finished hypotheses).  The sampler still draws
+one uniform per row at every step, finished or not, so the random stream,
+and with it every sample, is the one a full-width loop would see.
 
 An LSTM input is always an embedding row, so its projection ``x @ W_x + b``
 takes one of at most |V| values.  Every LSTM call therefore projects each
@@ -167,36 +172,42 @@ class Seq2Seq:
 
     def _run_decode(self, src_ids, src_mask, max_len: int, k: int,
                     rng: np.random.Generator | None, temperature: float):
-        """Shared ancestral decode; ``rng is None`` means greedy argmax."""
+        """Shared ancestral decode; ``rng is None`` means greedy argmax.
+
+        Returns the (rows, steps) chosen ids, PAD past each row's EOS, and each
+        row's total log-probability.
+        """
         keys, attn_bias, hc = self._encode(src_ids, src_mask)
         if k > 1:
             keys = ad.repeat_rows(keys, k)
             attn_bias = np.repeat(attn_bias, k, axis=0)
             hc = ad.repeat_rows(hc, k)
         rows = src_ids.shape[0] * k
+        live = np.arange(rows)  # the rows that have not emitted EOS yet
         tok = np.full(rows, BOS, dtype=np.int64)
-        active = np.ones(rows, dtype=bool)
         log_probs = np.zeros(rows)
-        emitted: list[np.ndarray] = []
-        for _ in range(max_len):
+        steps = np.full((rows, max_len), PAD, dtype=np.int64)
+        for t in range(max_len):
             logits, hc = self._decode_step(tok, hc, keys, attn_bias)
-            logp = ad.log_softmax_values(logits.value)
+            logits = logits.value
+            logp = ad.log_softmax_values(logits)
             if rng is None:
-                chosen = logits.value.argmax(axis=1)
+                chosen = logits.argmax(axis=1)
             else:
-                scaled = logits.value / temperature if temperature != 1.0 else logits.value
-                probs = ad.softmax_values(scaled)
-                u = rng.random(rows)
+                probs = ad.softmax_values(logits / temperature if temperature != 1.0 else logits)
+                u = rng.random(rows)[live]  # one draw per row, finished or not
                 chosen = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-                chosen = np.minimum(chosen, logits.value.shape[1] - 1)
-            chosen = np.where(active, chosen, PAD)
-            log_probs += np.where(active, logp[np.arange(rows), chosen], 0.0)
-            emitted.append(chosen)
-            active &= chosen != EOS
-            if not active.any():
-                break
-            tok = np.where(active, chosen, PAD)
-        steps = np.stack(emitted, axis=1)  # (rows, <=max_len)
+                chosen = np.minimum(chosen, logits.shape[1] - 1)
+            steps[live, t] = chosen
+            log_probs[live] += logp[np.arange(live.size), chosen]
+            going = chosen != EOS
+            if not going.all():
+                if not going.any():
+                    return steps[:, : t + 1], log_probs
+                live, chosen = live[going], chosen[going]
+                hc, keys = ad.take(hc, going), ad.take(keys, going)
+                attn_bias = attn_bias[going]
+            tok = chosen
         return steps, log_probs
 
     def _rows_to_sentences(self, steps: np.ndarray) -> list[Sentence]:

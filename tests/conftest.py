@@ -48,3 +48,30 @@ def square_sum(t: ad.Tensor) -> ad.Tensor:
     """sum(t * t) as a scalar node: the flattened row times the flattened column."""
     n = t.value.size
     return ad.reshape(ad.matmul(ad.reshape(t, (1, n)), ad.reshape(t, (n, 1))), ())
+
+
+class DiskFull:
+    """A file with room for ``ROOM`` bytes: a write past that stores what
+    fits and then fails, as on a full disk."""
+
+    ROOM = 20
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.written = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        room = self.ROOM - self.written
+        self.written += self.fh.write(data[:room])
+        if len(data) > room:
+            raise OSError("disk full")
+        return len(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)

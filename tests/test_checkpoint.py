@@ -5,6 +5,8 @@ from dualstyle import checkpoint
 from dualstyle.checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from dualstyle.dualrl import TrainState, save_train_state
 
+from conftest import DiskFull
+
 
 def test_round_trip_lossless(tmp_path):
     rng = np.random.default_rng(0)
@@ -48,33 +50,6 @@ def test_payload_length_must_match_header(tmp_path, delta):
         load_checkpoint(path)
 
 
-class _DiskFull:
-    """A file with room for ``ROOM`` bytes: a write past that stores what
-    fits and then fails, as on a full disk."""
-
-    ROOM = 20
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.written = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        room = self.ROOM - self.written
-        self.written += self.fh.write(data[:room])
-        if len(data) > room:
-            raise OSError("disk full")
-        return len(data)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-
 def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     # a model checkpoint and the run state, each interrupted mid-write
     run_dir = tmp_path / "run"
@@ -87,7 +62,7 @@ def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     for path, write in cases:
         write(1)
         before = path.read_bytes()
-        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: _DiskFull(open(*a, **k)),
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: DiskFull(open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError, match="disk full"):
             write(2)

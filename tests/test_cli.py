@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from dualstyle.errors import DualStyleError
 from dualstyle.optim import AdamState
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
 from dualstyle.seq2seq import Seq2Seq
+
+from conftest import DiskFull
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert cli.resolve_config(path)["seed"] == 3
 
 
-def test_resume_refuses_a_changed_config(tmp_path, capsys):
+def _trained_run(tmp_path):
+    """Run the pipeline through ``train`` at toy size under ``tmp_path/run``;
+    returns ``run(command, **changes)``, which runs one more CLI command."""
     cfg = {"train_per_style": 40, "dev_per_style": 10, "test_per_style": 10,
            "embed_dim": 8, "hidden_dim": 8, "cls_embed_dim": 8, "cls_channels": 4,
            "cls_epochs": 1, "pretrain_epochs": 1, "max_dual_epochs": 1, "max_iterations": 1,
@@ -110,6 +117,11 @@ def test_resume_refuses_a_changed_config(tmp_path, capsys):
 
     for command in ("synth", "pretrain-classifier", "pretrain", "train"):
         assert run([command]) == 0
+    return run
+
+
+def test_resume_refuses_a_changed_config(tmp_path, capsys):
+    run = _trained_run(tmp_path)
     saved = (tmp_path / "run" / "config.json").read_text()
     capsys.readouterr()
     assert run(["train", "--resume"], dual_lr=5e-4, seed=3) == 1
@@ -118,3 +130,25 @@ def test_resume_refuses_a_changed_config(tmp_path, capsys):
     assert (tmp_path / "run" / "config.json").read_text() == saved
     assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0
     assert json.loads((tmp_path / "run" / "config.json").read_text())["max_dual_epochs"] == 2
+
+
+def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch):
+    run = _trained_run(tmp_path)
+    run_dir = tmp_path / "run"
+    saved = (run_dir / "config.json").read_text()
+    real_open = builtins.open
+
+    def full_disk_in_run_dir(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return DiskFull(fh) if "w" in mode and Path(file).parent == run_dir else fh
+
+    # every way a file gets opened for writing: open() and Path.write_text
+    monkeypatch.setattr(builtins, "open", full_disk_in_run_dir)
+    monkeypatch.setattr(io, "open", full_disk_in_run_dir)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_config({**json.loads(saved), "max_dual_epochs": 2}, run_dir)
+    monkeypatch.undo()
+    assert (run_dir / "config.json").read_text() == saved
+    assert sorted(p.name for p in run_dir.iterdir() if p.is_file()) == [
+        "config.json", "history.csv", "rewards.csv", "vocab.txt"]
+    assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0

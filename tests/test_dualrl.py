@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dualstyle import autodiff as ad
 from dualstyle.checkpoint import checkpoint_hash
+from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import (
     AnnealSchedule,
     TrainConfig,
@@ -14,14 +16,16 @@ from dualstyle.dualrl import (
     reinforce_gradient,
     rl_step,
     should_teacher_force,
+    taped_groups,
     teacher_forcing_step,
     train,
 )
-from dualstyle.optim import AdamState, adam_step
+from dualstyle.optim import AdamState, adam_step, collect_grads
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
 from dualstyle.rewards import RewardConfig
 from dualstyle.seq2seq import Seq2Seq
 
+from conftest import sentence
 from pg_oracle import (
     build_masked_model,
     exact_gradient,
@@ -115,6 +119,8 @@ def test_equal_rewards_give_zero_gradient():
         "leave_one_out", rng, max_len=3,
     )
     assert stats["degenerate"] == 0
+    assert stats["taped_groups"] == 0
+    assert set(grads) == set(model.params)
     for g in grads.values():
         assert np.abs(g).max() < 1e-15
 
@@ -122,6 +128,74 @@ def test_equal_rewards_give_zero_gradient():
     adam_step(model.params, grads, AdamState(lr=1e-3))
     for k, p in model.params.items():
         assert np.array_equal(p.value, params_before[k])
+
+
+def test_kept_groups_give_the_full_batch_gradient(small_vocab):
+    # float64 on both sides: the kept groups alone give the full-batch
+    # gradient up to summation order, zero-weight groups included or not
+    model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=6,
+                    init_scale=1.0, embed_scale=1.0)
+    rng = np.random.default_rng(6)
+    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
+        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    tokens = ("a", "b", "c", "d", "e")
+
+    def sentences(n, max_len):
+        return [sentence(small_vocab, *(tokens[int(i)] for i in
+                                         rng.integers(0, 5, int(rng.integers(1, max_len + 1)))))
+                for _ in range(n)]
+
+    k = 3
+    sources, samples = sentences(5, 6), sentences(15, 7)
+    weights = rng.normal(0, 1, 15)
+    weights[[0, 1, 2, 9, 10, 11]] = 0.0  # groups 0 and 3
+    weights[4] = 0.0  # a zero row inside a kept group stays in its group
+    groups, rows = taped_groups(weights, k)
+    assert groups.tolist() == [1, 2, 4]
+    assert rows.tolist() == [3, 4, 5, 6, 7, 8, 12, 13, 14]
+
+    def grads64(srcs, tgts, w):
+        src_ids, src_mask = pad_batch([s.ids for s in srcs])
+        tgt_ids, tgt_mask = pad_batch([t.ids for t in tgts])
+        with ad.Tape() as tape:
+            loss = model._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask,
+                                             row_weights=w, source_repeat=k)
+        ad.backward(tape, loss)
+        return float(loss.value), collect_grads(model.params)
+
+    loss_full, full = grads64(sources, samples, weights)
+    loss_kept, kept = grads64([sources[i] for i in groups], [samples[i] for i in rows],
+                              weights[rows])
+    assert loss_kept == pytest.approx(loss_full, rel=1e-12)
+    assert set(kept) == set(full)
+    for name, g in full.items():
+        assert np.linalg.norm(kept[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+def test_reinforce_gradient_tapes_only_groups_with_weight():
+    vocab, model, source = build_masked_model(seed=3)
+    model.params["out_b"].value[3] -= 8.0  # no empty samples, as above
+    k, batch = 2, 6
+
+    def reward_fn(samples, _):
+        # groups 0, 2 and 4 get equal rewards, so a zero advantage
+        rows = np.arange(len(samples))
+        return np.where((rows // k) % 2 == 0, 0.5, 0.2 + 0.3 * (rows % k))
+
+    grads, stats = reinforce_gradient(model, [source] * batch, k, reward_fn,
+                                      "leave_one_out", np.random.default_rng(1), max_len=3)
+    assert stats["degenerate"] == 0
+    assert stats["taped_groups"] == 3
+    assert stats["distinct_pairs"] == len({s.ids for s in stats["samples"]})
+    advantage = np.array([0.0, 0.0, -0.3, 0.3] * 3)
+    src_ids, src_mask = pad_batch([source.ids] * batch)
+    tgt_ids, tgt_mask = pad_batch([s.ids for s in stats["samples"]])
+    _, full = model.taped_gradients(lambda m: m._teacher_forced_nll(
+        src_ids, src_mask, tgt_ids, tgt_mask, row_weights=advantage / (batch * k),
+        source_repeat=k))
+    assert set(grads) == set(full)
+    for name, g in full.items():
+        assert np.linalg.norm(grads[name] - g) <= 1e-5 * np.linalg.norm(g), name
 
 
 def test_k1_baseline_reduces_to_plain_estimator():
@@ -352,6 +426,27 @@ def test_resume_reproduces_straight_run(tiny_task, warm_models, tiny_classifier,
     for name in ("f_last", "g_last"):
         assert checkpoint_hash(tmp_path / "straight" / "checkpoints" / f"{name}.ckpt") == \
             checkpoint_hash(tmp_path / "resumed" / "checkpoints" / f"{name}.ckpt")
+
+
+def test_resume_returns_the_best_models(tiny_task, warm_models, tiny_classifier, tmp_path):
+    # the best epoch comes before the resume point and no later epoch beats it
+    corpus, gold, vocab = tiny_task
+    model_f, model_g = warm_models
+    cfg4 = mini_cfg(max_dual_epochs=4, patience=10)
+    straight = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
+                     run_dir=tmp_path / "straight", gold_refs=gold.refs)
+    assert straight.state.best_epoch < 2
+
+    train(model_f.clone(), model_g.clone(), tiny_classifier, corpus,
+          mini_cfg(max_dual_epochs=3, patience=10), run_dir=tmp_path / "resumed",
+          gold_refs=gold.refs)
+    resumed = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
+                    run_dir=tmp_path / "resumed", gold_refs=gold.refs, resume=True)
+    assert resumed.state.best_epoch == straight.state.best_epoch
+    for ours, theirs in ((resumed.model_f, straight.model_f),
+                         (resumed.model_g, straight.model_g)):
+        for name, p in theirs.params.items():
+            assert np.array_equal(ours.params[name].value, p.value), name
 
 
 @pytest.mark.parametrize("mode", ["rl_only", "mle_only"])

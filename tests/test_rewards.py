@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualstyle import rewards
 from dualstyle.classifier import ClassifierConfig, TextClassifier
 from dualstyle.corpus import EOS, Sentence, StyleLabel
 from dualstyle.errors import EmptySequenceError
@@ -158,6 +159,50 @@ def test_combined_rewards_zero_for_degenerate(small_vocab, uniform_classifier):
     )
     assert r_style[0] == 0.0 and r_content[0] == 0.0 and r_total[0] == 0.0
     assert r_style[1] == 0.5 and r_total[1] > 0.0
+
+
+def test_combined_rewards_score_each_distinct_pair_once(small_vocab, monkeypatch):
+    clf = TextClassifier(small_vocab, ClassifierConfig(embed_dim=8, channels=4, seed=3))
+    lin_w = clf.params["lin_w"]
+    lin_w.value = np.random.default_rng(3).normal(0, 2.0, lin_w.value.shape)
+    back = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=4, init_scale=1.0)
+    x1, x2 = sentence(small_vocab, "a", "b"), sentence(small_vocab, "c", "d", "e")
+    s1, s2 = sentence(small_vocab, "b"), sentence(small_vocab, "e", "a", "c")
+    empty = Sentence(surface=(), ids=(EOS,))
+    # (s1, x1) three times, once through an equal but distinct sample object;
+    # (s2, x1) twice, once through an equal source object; (s1, x2) differs
+    # from the first pair in the source only
+    samples = [s1, s2, sentence(small_vocab, "b"), empty, s1, s1, s2, empty]
+    xs = [x1, x1, x1, x1, x2, x1, sentence(small_vocab, "a", "b"), x2]
+    target, cfg = StyleLabel(1, "pos"), RewardConfig()
+
+    ref_style, ref_content = np.zeros(8), np.zeros(8)
+    for i, (yp, x) in enumerate(zip(samples, xs)):
+        if yp.surface:
+            ref_style[i] = style_reward_batch(clf, [yp], target)[0]
+            ref_content[i] = content_reward_batch(back, [yp], [x], cfg)[0]
+
+    seen = []
+    for name in ("style_reward_batch", "content_reward_batch"):
+        scorer = getattr(rewards, name)
+
+        def recording(*args, scorer=scorer, name=name):
+            seen.append((name, [s.ids for s in args[1]]))
+            if name == "content_reward_batch":
+                seen.append((name + " xs", [x.ids for x in args[2]]))
+            return scorer(*args)
+
+        monkeypatch.setattr(rewards, name, recording)
+    r_style, r_content, r_total = combined_rewards(clf, back, samples, xs, target, cfg)
+    assert np.array_equal(r_style, ref_style)
+    assert np.array_equal(r_content, ref_content)
+    assert np.array_equal(r_total, combine_batch(ref_style, ref_content, cfg.beta))
+    assert r_total[0] == r_total[2] == r_total[5] and r_total[1] == r_total[6]
+    assert dict(seen) == {
+        "style_reward_batch": [s1.ids, s2.ids, s1.ids],
+        "content_reward_batch": [s1.ids, s2.ids, s1.ids],
+        "content_reward_batch xs": [x1.ids, x1.ids, x2.ids],
+    }
 
 
 def test_reward_config_validation():

@@ -132,6 +132,32 @@ def test_sample_frequencies_match_exact_probabilities(tiny):
     assert checked >= 20
 
 
+def test_decode_steps_run_only_the_rows_still_going(small_vocab, monkeypatch):
+    # outputs of 1 to 7 ids, some cut at max_len, on both paths
+    model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=24, init_scale=1.0,
+                    embed_scale=1.0)
+    rng = np.random.default_rng(24)
+    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
+        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    sources = [_random_sentence(small_vocab, rng, max_len=6) for _ in range(8)]
+    widths = []
+    real_step = Seq2Seq._decode_step
+
+    def recording_step(self, tok_ids, hc, keys, attn_bias):
+        widths.append(len(tok_ids))
+        assert hc.value.shape[0] == keys.value.shape[0] == attn_bias.shape[0] == len(tok_ids)
+        return real_step(self, tok_ids, hc, keys, attn_bias)
+
+    monkeypatch.setattr(Seq2Seq, "_decode_step", recording_step)
+    for decode in (lambda: model.sample_batch(sources, 3, np.random.default_rng(2), max_len=7)[0],
+                   lambda: model.greedy_decode_batch(sources, max_len=7)):
+        widths.clear()
+        lengths = np.array([len(s.ids) for s in decode()])
+        # a row is fed to step t until it has emitted EOS, at step len - 1
+        assert widths == [int((lengths > t).sum()) for t in range(lengths.max())]
+        assert widths[-1] < widths[0]
+
+
 def test_greedy_decode_deterministic_and_truncates(small_vocab):
     model = Seq2Seq(small_vocab, embed_dim=4, hidden_dim=5, seed=3)
     bias = np.full(len(small_vocab), -60.0)
