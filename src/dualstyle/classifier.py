@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary
 from .errors import EmptySequenceError
-from .optim import AdamState, adam_step, clip_global_norm, collect_grads, zero_grads
+from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
 
 @dataclass
@@ -100,7 +100,6 @@ class TextClassifier:
         if self.frozen:
             raise RuntimeError("classifier is frozen")
         ids, lengths = self._prepare(sentences)
-        zero_grads(self.params)
         with ad.Tape() as tape:
             logits = self._logits(ids, lengths)
             nll = ad.cross_entropy(logits, labels)

@@ -403,10 +403,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "preset", "func", "direction", "in_path",
-            "out_path", "checkpoint", "outputs", "refs", "target_style",
-            "inputs", "report_dir", "mode", "resume"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    """The parsed arguments that name config keys."""
+    return {k: v for k, v in vars(args).items() if k in DEFAULTS}
 
 
 def build_parser() -> argparse.ArgumentParser:

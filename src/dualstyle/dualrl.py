@@ -5,12 +5,19 @@ Each iteration trains the x->y model on a style-x batch (sampled transfers
 scored by the frozen classifier and by the opposite model's reconstruction
 probability), optionally consolidates it with one MLE step on back-translated
 pairs, then does the mirrored pair of updates for the y->x model.
+
+A run directory holds the checkpoints and one append-only record,
+``events.jsonl``: a JSON line per RL iteration (the two directions' mean
+rewards) and per epoch (the ``TrainResult.history`` row).  The ``last``
+checkpoint's ``state.json`` stores the record's length, so a resume cuts the
+record back to that length and rebuilds the history from its epoch lines.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -93,7 +100,7 @@ class TrainState:
     best_score: float = -math.inf
     best_epoch: int = -1
     epochs_since_improvement: int = 0
-    history: list[dict] = field(default_factory=list)
+    events_bytes: int = 0
 
 
 def should_teacher_force(state: TrainState, direction: str) -> bool:
@@ -341,69 +348,24 @@ def _history_row(state: TrainState, reward_sums: dict, n_rl: int, dev: dict) -> 
     return row
 
 
-def _fmt_csv(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _append_event(path: Path | None, event: dict) -> int:
+    """Append one line to the run's event record and flush it to disk.
+
+    Returns the record's length in bytes (0 without a run directory).
+    """
+    if path is None:
+        return 0
+    with open(path, "ab") as fh:
+        fh.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
+        fh.flush()
+        os.fsync(fh.fileno())
+        return fh.tell()
 
 
-_HISTORY_COLUMNS = ("iteration", "epoch", "mean_r_style", "mean_r_content",
-                    "mean_r_total", "dev_acc", "dev_bleu", "dev_score",
-                    "dev_gold_bleu", "dev_gold_h2")
-
-
-class _RunWriter:
-    """history.csv / rewards.csv / checkpoints under one run directory."""
-
-    def __init__(self, run_dir, resume_iteration: int | None = None):
-        """``resume_iteration`` continues rewards.csv from that checkpointed
-        iteration; history.csv is always rewritten from the saved history."""
-        self.run_dir = Path(run_dir) if run_dir is not None else None
-        if self.run_dir is not None:
-            (self.run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-            self.history_path = self.run_dir / "history.csv"
-            self.history_path.write_text(",".join(_HISTORY_COLUMNS) + "\n")
-            self.rewards_path = self.run_dir / "rewards.csv"
-            lines = ["iteration,mean_r_style,mean_r_content,mean_r_total\n"]
-            if resume_iteration is not None and self.rewards_path.exists():
-                # rows past the checkpoint were written by iterations that rerun
-                kept = self.rewards_path.read_text(encoding="utf-8").splitlines(True)[1:]
-                lines += [r for r in kept if int(r.split(",", 1)[0]) < resume_iteration]
-            # the kept rows exist nowhere else, so a failed rewrite must not lose them
-            write_atomic(self.rewards_path, ["".join(lines).encode("utf-8")])
-
-    def history(self, row: dict) -> None:
-        if self.run_dir is None:
-            return
-        with open(self.history_path, "a", encoding="utf-8") as fh:
-            fh.write(",".join(_fmt_csv(row[c]) for c in _HISTORY_COLUMNS) + "\n")
-
-    def rewards(self, iteration: int, stats_f: dict | None, stats_g: dict | None) -> None:
-        if self.run_dir is None:
-            return
-        stats = [s for s in (stats_f, stats_g) if s is not None]
-        if not stats:
-            return
-        means = [sum(s[k] for s in stats) / len(stats)
-                 for k in ("mean_r_style", "mean_r_content", "mean_r_total")]
-        with open(self.rewards_path, "a", encoding="utf-8") as fh:
-            fh.write(f"{iteration},{means[0]!r},{means[1]!r},{means[2]!r}\n")
-
-    def checkpoint(self, tag: str, model_f: Seq2Seq, model_g: Seq2Seq,
-                   opt_f: AdamState, opt_g: AdamState,
-                   state: TrainState | None = None) -> None:
-        if self.run_dir is None:
-            return
-        ck = self.run_dir / "checkpoints"
-        model_f.save(ck / f"f_{tag}.ckpt")
-        model_g.save(ck / f"g_{tag}.ckpt")
-        if tag == "last":
-            save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
-            save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
-            if state is not None:
-                save_train_state(self.run_dir, state)
+def _save_models(run_dir: Path | None, tag: str, model_f: Seq2Seq, model_g: Seq2Seq) -> None:
+    if run_dir is not None:
+        model_f.save(run_dir / "checkpoints" / f"f_{tag}.ckpt")
+        model_g.save(run_dir / "checkpoints" / f"g_{tag}.ckpt")
 
 
 def save_train_state(run_dir, state: TrainState) -> None:
@@ -440,11 +402,14 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     opt_f = AdamState(lr=cfg.dual_lr)
     opt_g = AdamState(lr=cfg.dual_lr)
     state = TrainState()
+    history = []
     start_epoch = 0
+    run_dir = Path(run_dir) if run_dir is not None else None
+    events = run_dir / "events.jsonl" if run_dir is not None else None
     if resume:
         if run_dir is None:
             raise ValueError("resume needs a run directory")
-        ck = Path(run_dir) / "checkpoints"
+        ck = run_dir / "checkpoints"
         model_f.load_state_dict(load_checkpoint(ck / "f_last.ckpt")[0])
         model_g.load_state_dict(load_checkpoint(ck / "g_last.ckpt")[0])
         arrays, meta = load_checkpoint(ck / "opt_f_last.ckpt")
@@ -453,10 +418,15 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         opt_g.load_state_arrays(arrays, meta["t"])
         state = load_train_state(run_dir)
         start_epoch = state.epoch
-
-    writer = _RunWriter(run_dir, state.iteration if resume else None)
-    for row in state.history:
-        writer.history(row)
+        # lines past the checkpoint were written by iterations that rerun
+        os.truncate(events, state.events_bytes)
+        for line in events.read_text(encoding="utf-8").splitlines():
+            event = json.loads(line)
+            if event.pop("event") == "epoch":
+                history.append(event)
+    elif run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        events.write_bytes(b"")
 
     best_f = model_f.clone()
     best_g = model_g.clone()
@@ -485,9 +455,8 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             stats_f = stats_g = None
 
             if rl_on:
-                g_snap = model_g.clone()
                 f_snap = model_f.clone()
-                stats_f = rl_step(model_f, g_snap, clf, rl_x[it % len(rl_x)],
+                stats_f = rl_step(model_f, model_g, clf, rl_x[it % len(rl_x)],
                                   corpus.label_y, cfg, opt_f, rng)
             if mle_on and should_teacher_force(state, "x2y"):
                 teacher_forcing_step(model_f, model_g, tf_y[it % len(tf_y)],
@@ -500,20 +469,23 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                 teacher_forcing_step(model_g, model_f, tf_x[it % len(tf_x)],
                                      opt_g, cfg, state.iteration)
 
-            if stats_f is not None:
-                for s in (stats_f, stats_g):
-                    reward_sums["r_style"] += s["mean_r_style"]
-                    reward_sums["r_content"] += s["mean_r_content"]
-                    reward_sums["r_total"] += s["mean_r_total"]
-                    state.degenerate_count += s["degenerate"]
+            if rl_on:
+                event = {"event": "iteration", "iteration": state.iteration}
+                for key in ("r_style", "r_content", "r_total"):
+                    mean_f, mean_g = stats_f[f"mean_{key}"], stats_g[f"mean_{key}"]
+                    # one direction at a time, as the epoch means always summed
+                    reward_sums[key] += mean_f
+                    reward_sums[key] += mean_g
+                    event[f"mean_{key}"] = (mean_f + mean_g) / 2
+                state.degenerate_count += stats_f["degenerate"] + stats_g["degenerate"]
                 n_rl += 2
-            writer.rewards(state.iteration, stats_f, stats_g)
+                _append_event(events, event)
             state.iteration += 1
 
         dev = evaluate_dev(model_f, model_g, clf, corpus, cfg, gold_refs)
         row = _history_row(state, reward_sums, n_rl, dev)
-        state.history.append(row)
-        writer.history(row)
+        history.append(row)
+        state.events_bytes = _append_event(events, {"event": "epoch", **row})
 
         improved = dev["dev_score"] > state.best_score
         if improved:
@@ -522,15 +494,19 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             state.epochs_since_improvement = 0
             best_f = model_f.clone()
             best_g = model_g.clone()
-            writer.checkpoint("best", model_f, model_g, opt_f, opt_g)
+            _save_models(run_dir, "best", model_f, model_g)
         else:
             state.epochs_since_improvement += 1
         state.epoch = epoch + 1
-        writer.checkpoint("last", model_f, model_g, opt_f, opt_g, state)
+        if run_dir is not None:
+            _save_models(run_dir, "last", model_f, model_g)
+            ck = run_dir / "checkpoints"
+            save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
+            save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
+            save_train_state(run_dir, state)
         if state.epochs_since_improvement >= cfg.patience:
             break
         if state.iteration >= max_iters:
             break
 
-    return TrainResult(model_f=best_f, model_g=best_g, state=state,
-                       history=state.history)
+    return TrainResult(model_f=best_f, model_g=best_g, state=state, history=history)

@@ -57,7 +57,7 @@ def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
         (tmp_path / "m.ckpt", lambda v: save_checkpoint(
             tmp_path / "m.ckpt", {"w": np.full(3, float(v))}, {"v": v})),
         (run_dir / "checkpoints" / "state.json",
-         lambda v: save_train_state(run_dir, TrainState(iteration=v, history=[{"v": v}]))),
+         lambda v: save_train_state(run_dir, TrainState(iteration=v, events_bytes=v))),
     )
     for path, write in cases:
         write(1)

@@ -150,5 +150,5 @@ def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch)
     monkeypatch.undo()
     assert (run_dir / "config.json").read_text() == saved
     assert sorted(p.name for p in run_dir.iterdir() if p.is_file()) == [
-        "config.json", "history.csv", "rewards.csv", "vocab.txt"]
+        "config.json", "events.jsonl", "vocab.txt"]
     assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dualstyle import autodiff as ad
+from dualstyle import dualrl
 from dualstyle.checkpoint import checkpoint_hash
 from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import (
@@ -362,8 +364,8 @@ def test_train_is_deterministic_and_freezes_classifier(
 
     res1 = run(tmp_path / "r1")
     res2 = run(tmp_path / "r2")
-    h1 = (tmp_path / "r1" / "history.csv").read_bytes()
-    h2 = (tmp_path / "r2" / "history.csv").read_bytes()
+    h1 = (tmp_path / "r1" / "events.jsonl").read_bytes()
+    h2 = (tmp_path / "r2" / "events.jsonl").read_bytes()
     assert h1 == h2
     for name in ("f_best", "g_best", "f_last", "g_last"):
         assert checkpoint_hash(tmp_path / "r1" / "checkpoints" / f"{name}.ckpt") == \
@@ -374,7 +376,10 @@ def test_train_is_deterministic_and_freezes_classifier(
         checkpoint_hash(tmp_path / "cls_after.ckpt")
 
     assert len(res1.history) == 2
-    assert (tmp_path / "r1" / "rewards.csv").read_text().count("\n") >= 2
+    events = [json.loads(line) for line in h1.decode("utf-8").splitlines()]
+    assert sum(e["event"] == "iteration" for e in events) >= 2
+    assert [{k: v for k, v in e.items() if k != "event"}
+            for e in events if e["event"] == "epoch"] == res1.history
 
 
 def test_best_checkpoint_matches_best_score(tiny_task, warm_models, tiny_classifier, tmp_path):
@@ -407,34 +412,81 @@ def test_early_stopping_stops_after_stall(tiny_task, warm_models, tiny_classifie
             running_best = s
 
 
-def test_resume_reproduces_straight_run(tiny_task, warm_models, tiny_classifier, tmp_path):
+@pytest.fixture(scope="module")
+def straight_run(tiny_task, warm_models, tiny_classifier, tmp_path_factory):
+    """A 4-epoch run without interruption, for the resume tests to match."""
     corpus, gold, vocab = tiny_task
     model_f, model_g = warm_models
-    cfg4 = mini_cfg(max_dual_epochs=4, patience=10)
-    train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
-          run_dir=tmp_path / "straight", gold_refs=gold.refs)
+    run_dir = tmp_path_factory.mktemp("straight")
+    res = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus,
+                mini_cfg(max_dual_epochs=4, patience=10), run_dir=run_dir,
+                gold_refs=gold.refs)
+    return res, run_dir
 
+
+def test_resume_reproduces_straight_run(tiny_task, warm_models, tiny_classifier,
+                                        straight_run, tmp_path):
+    corpus, gold, vocab = tiny_task
+    model_f, model_g = warm_models
+    straight, straight_dir = straight_run
+    cfg4 = mini_cfg(max_dual_epochs=4, patience=10)
     cfg2 = mini_cfg(max_dual_epochs=2, patience=10)
     train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg2,
           run_dir=tmp_path / "resumed", gold_refs=gold.refs)
-    train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
-          run_dir=tmp_path / "resumed", gold_refs=gold.refs, resume=True)
+    resumed = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
+                    run_dir=tmp_path / "resumed", gold_refs=gold.refs, resume=True)
 
-    for name in ("history.csv", "rewards.csv"):
-        assert (tmp_path / "straight" / name).read_bytes() == \
-            (tmp_path / "resumed" / name).read_bytes()
+    assert resumed.history == straight.history
+    assert (straight_dir / "events.jsonl").read_bytes() == \
+        (tmp_path / "resumed" / "events.jsonl").read_bytes()
     for name in ("f_last", "g_last"):
-        assert checkpoint_hash(tmp_path / "straight" / "checkpoints" / f"{name}.ckpt") == \
+        assert checkpoint_hash(straight_dir / "checkpoints" / f"{name}.ckpt") == \
             checkpoint_hash(tmp_path / "resumed" / "checkpoints" / f"{name}.ckpt")
 
 
-def test_resume_returns_the_best_models(tiny_task, warm_models, tiny_classifier, tmp_path):
+def test_resume_after_a_crash_mid_epoch(tiny_task, warm_models, tiny_classifier,
+                                       straight_run, tmp_path, monkeypatch):
+    # the crash comes after epoch 2's iterations were logged, past the last
+    # checkpoint; the resume must cut those lines and run them again
+    corpus, gold, vocab = tiny_task
+    model_f, model_g = warm_models
+    straight, straight_dir = straight_run
+    cfg4 = mini_cfg(max_dual_epochs=4, patience=10)
+
+    calls = []
+
+    def evaluate_dev_crashing_on_third_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return evaluate_dev(*args, **kwargs)
+
+    monkeypatch.setattr(dualrl, "evaluate_dev", evaluate_dev_crashing_on_third_call)
+    with pytest.raises(KeyboardInterrupt):
+        train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
+              run_dir=tmp_path / "crashed", gold_refs=gold.refs)
+    monkeypatch.undo()
+    saved = json.loads((tmp_path / "crashed" / "checkpoints" / "state.json").read_text())
+    assert saved["epoch"] == 2
+    assert (tmp_path / "crashed" / "events.jsonl").stat().st_size > saved["events_bytes"]
+
+    resumed = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
+                    run_dir=tmp_path / "crashed", gold_refs=gold.refs, resume=True)
+    assert resumed.history == straight.history
+    assert (straight_dir / "events.jsonl").read_bytes() == \
+        (tmp_path / "crashed" / "events.jsonl").read_bytes()
+    for name in ("f_last", "g_last"):
+        assert checkpoint_hash(straight_dir / "checkpoints" / f"{name}.ckpt") == \
+            checkpoint_hash(tmp_path / "crashed" / "checkpoints" / f"{name}.ckpt")
+
+
+def test_resume_returns_the_best_models(tiny_task, warm_models, tiny_classifier,
+                                       straight_run, tmp_path):
     # the best epoch comes before the resume point and no later epoch beats it
     corpus, gold, vocab = tiny_task
     model_f, model_g = warm_models
+    straight, _ = straight_run
     cfg4 = mini_cfg(max_dual_epochs=4, patience=10)
-    straight = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg4,
-                     run_dir=tmp_path / "straight", gold_refs=gold.refs)
     assert straight.state.best_epoch < 2
 
     train(model_f.clone(), model_g.clone(), tiny_classifier, corpus,
