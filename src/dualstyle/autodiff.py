@@ -50,10 +50,6 @@ class Tensor:
         self.vjp = vjp
         self.constant = constant
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def zero_grad(self):
         self.grad = None
 
@@ -74,7 +70,7 @@ def constant(value) -> Tensor:
     return Tensor(_floating(value), constant=True)
 
 
-def as_tensor(x) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return constant(x)
@@ -94,24 +90,10 @@ def _acc(t: Tensor, g):
     if t.grad is None:
         # Stored, not copied: ``g`` must be an array no one else holds, since
         # later contributions add into it.  An op whose gradient is a view of
-        # its upstream gradient, or that passes one array on to two parents
-        # (``add``, ``reshape``, ``concat``), copies it before calling this.
+        # its upstream gradient (``concat``) copies it before calling this.
         t.grad = g
     else:
         t.grad += g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcast gradient back to its parent's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -148,21 +130,8 @@ def log_softmax_values(x: np.ndarray) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value + b.value
-
-    def vjp(g):
-        for t in (a, b):
-            if not t.constant:
-                gt = _unbroadcast(g, t.value.shape)
-                _acc(t, gt.copy() if gt is g else gt)
-
-    return _record(out, (a, b), vjp)
-
-
 def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     c = float(c)
     out = a.value * c
 
@@ -172,21 +141,8 @@ def scale(a, c: float) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value @ b.value
-
-    def vjp(g):
-        if not a.constant:
-            _acc(a, g @ b.value.T)
-        if not b.constant:
-            _acc(b, a.value.T @ g)
-
-    return _record(out, (a, b), vjp)
-
-
 def relu(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = np.maximum(a.value, 0.0)
 
     def vjp(g):
@@ -197,7 +153,7 @@ def relu(a) -> Tensor:
 
 def embedding(table, ids) -> Tensor:
     """Row lookup; ids is an integer array, not a tensor."""
-    table = as_tensor(table)
+    table = _as_tensor(table)
     ids = np.asarray(ids)
     out = table.value[ids]
 
@@ -217,7 +173,7 @@ def embedding(table, ids) -> Tensor:
 
 
 def concat(parts, axis: int = -1) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
+    parts = [_as_tensor(p) for p in parts]
     out = np.concatenate([p.value for p in parts], axis=axis)
     sizes = [p.value.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
@@ -236,7 +192,7 @@ def take(a, index) -> Tensor:
     """``a[index]`` for slices, integers, boolean masks, or integer arrays with
     no repeated element (the backward adds into ``a[index]`` without
     accumulating repeats)."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = a.value[index]
 
     def vjp(g):
@@ -251,7 +207,7 @@ def take(a, index) -> Tensor:
 
 def repeat_rows(a, k: int) -> Tensor:
     """Tile each row k times: (B, ...) -> (B*k, ...)."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = np.repeat(a.value, k, axis=0)
 
     def vjp(g):
@@ -260,29 +216,9 @@ def repeat_rows(a, k: int) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = a.value.reshape(shape)
-
-    def vjp(g):
-        _acc(a, g.reshape(a.value.shape).copy())
-
-    return _record(out, (a,), vjp)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.asarray(a.value.sum())
-
-    def vjp(g):
-        _acc(a, np.broadcast_to(g, a.value.shape).copy())
-
-    return _record(out, (a,), vjp)
-
-
 def masked_sum(a, mask) -> Tensor:
     """Sum of a * mask; the mask is a constant array of weights."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     mask = np.asarray(mask, dtype=a.value.dtype)
     out = np.asarray((a.value * mask).sum())
 
@@ -298,7 +234,7 @@ def cross_entropy(logits, targets) -> Tensor:
     ``logits`` is (..., V) and ``targets`` the matching (...) int array; the
     output has the targets' shape.
     """
-    logits = as_tensor(logits)
+    logits = _as_tensor(logits)
     targets = np.asarray(targets)
     logp = log_softmax_values(logits.value).reshape(targets.size, -1)
     rows = np.arange(targets.size)
@@ -315,17 +251,21 @@ def cross_entropy(logits, targets) -> Tensor:
     return _record(out, (logits,), vjp)
 
 
-def conv1d(x, filters) -> Tensor:
-    """Valid 1-D convolution over time: (B,T,E) * (w,E,C) -> (B,T-w+1,C)."""
-    x, filters = as_tensor(x), as_tensor(filters)
+def conv1d(x, filters, bias) -> Tensor:
+    """Valid 1-D convolution over time plus a per-channel bias:
+    (B,T,E) * (w,E,C) + (C,) -> (B,T-w+1,C)."""
+    x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
     w = filters.value.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(x.value, w, axis=1)
     # windows: (B, T-w+1, E, w)
     out = np.einsum("btew,wec->btc", windows, filters.value)
+    out += bias.value
 
     def vjp(g):
         if not filters.constant:
             _acc(filters, np.einsum("btew,btc->wec", windows, g))
+        if not bias.constant:
+            _acc(bias, g.sum(axis=(0, 1)))
         if not x.constant:
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
@@ -333,7 +273,7 @@ def conv1d(x, filters) -> Tensor:
             for j in range(w):
                 x.grad[:, j: j + t_out, :] += g @ filters.value[j].T
 
-    return _record(out, (x, filters), vjp)
+    return _record(out, (x, filters, bias), vjp)
 
 
 def max_over_time(x, valid_mask) -> Tensor:
@@ -342,7 +282,7 @@ def max_over_time(x, valid_mask) -> Tensor:
     valid_mask is a constant (B, T) 0/1 array with at least one valid
     position per row.
     """
-    x = as_tensor(x)
+    x = _as_tensor(x)
     valid = np.asarray(valid_mask, dtype=bool)
     masked = np.where(valid[:, :, None], x.value, -np.inf)
     arg = masked.argmax(axis=1)  # (B, C)
@@ -367,10 +307,11 @@ def max_over_time(x, valid_mask) -> Tensor:
 # ``grad_check`` covers every one of them like any primitive
 # (tests/test_autodiff.py), and a plain-numpy forward of the whole model
 # checks their values (``test_teacher_forced_logits_match_per_row_reference``
-# in tests/test_seq2seq.py).  The recurrent ones take a whole sequence: ``lstm_cell`` runs every time
-# step in one node and ``bilinear_attention`` scores every query step at once,
-# so a teacher-forced pass records a fixed number of nodes whatever its
-# length.  Time-invariant work is hoisted out of the time loop (Appleyard et
+# in tests/test_seq2seq.py).  The recurrent ones take only a whole sequence:
+# ``lstm_cell`` runs every time step in one node and ``bilinear_attention``
+# scores every query step at once, so a teacher-forced pass records a fixed
+# number of nodes whatever its length, and a decode step is a sequence of
+# length 1.  Time-invariant work is hoisted out of the time loop (Appleyard et
 # al. 2016, arXiv:1604.01946): the recurrent weight gradient is one GEMM over
 # all B*T rows after the backward-through-time loop, and the input projection
 # ``x @ W_x + b`` is not in ``lstm_cell`` at all.  The caller computes it once
@@ -382,7 +323,7 @@ def max_over_time(x, valid_mask) -> Tensor:
 
 def affine(a, w, b) -> Tensor:
     """a @ w + b in one node."""
-    a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
+    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
     out = _matmul_rows(a.value, w.value)
     out += b.value
 
@@ -394,7 +335,7 @@ def affine(a, w, b) -> Tensor:
 
 def tanh_affine(a, w, b) -> Tensor:
     """tanh(a @ w + b) in one node."""
-    a, w, b = as_tensor(a), as_tensor(w), as_tensor(b)
+    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
     out = _matmul_rows(a.value, w.value)
     out += b.value
     np.tanh(out, out=out)
@@ -435,13 +376,10 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
     step, (B, T, 2H).  Gate order in the preactivation is (input, forget,
     output, candidate).  Every step of every row is computed: for ragged
     rows the caller reads each row's state at its last real step and gives
-    the padded steps' outputs no gradient.  A (B,) ``index`` is a single step
-    and returns (B, 2H).
+    the padded steps' outputs no gradient.
     """
-    xw, hc, wh = (as_tensor(t) for t in (xw, hc, wh))
-    index = np.asarray(index)
-    seq = index.ndim == 2
-    idx = index if seq else index[:, None]
+    xw, hc, wh = (_as_tensor(t) for t in (xw, hc, wh))
+    idx = np.asarray(index)
     batch, steps = idx.shape
     hd = hc.value.shape[1] // 2
     dtype = xw.value.dtype
@@ -472,7 +410,6 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
         prev = state
 
     def vjp(g):
-        g = g if seq else g[:, None, :]
         dgates = np.empty((batch, steps, 4 * hd), dtype=dtype)
         dh_next = np.zeros((batch, hd), dtype=dtype)
         dc_next = np.zeros((batch, hd), dtype=dtype)
@@ -511,7 +448,7 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
             h_prev = np.concatenate([hc.value[:, None, :hd], out[:, :-1, :hd]], axis=1)
             _acc(wh, h_prev.reshape(batch * steps, hd).T @ rows)
 
-    return _record(out if seq else out[:, 0], (xw, hc, wh), vjp)
+    return _record(out, (xw, hc, wh), vjp)
 
 
 def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
@@ -519,14 +456,12 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
 
     ``query`` is (B, Tq, H) and ``keys`` (B, T, H); ``score_bias`` is a
     constant (B, T) array carrying the padding mask.  Returns the (B, Tq, H)
-    context vectors.  A (B, H) query is a single step and returns (B, H).
+    context vectors.
     """
-    query, keys, wa = as_tensor(query), as_tensor(keys), as_tensor(wa)
-    seq = query.value.ndim == 3
-    qs = query.value if seq else query.value[:, None, :]
+    query, keys, wa = _as_tensor(query), _as_tensor(keys), _as_tensor(wa)
     bias = np.asarray(score_bias, dtype=keys.value.dtype)[:, None, :]
     keys_t = keys.value.transpose(0, 2, 1)
-    q = _matmul_rows(qs, wa.value)
+    q = _matmul_rows(query.value, wa.value)
     scores = q @ keys_t
     scores += bias
     scores -= scores.max(axis=2, keepdims=True)
@@ -542,7 +477,6 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
     out = alpha @ keys.value
 
     def vjp(g):
-        g = g if seq else g[:, None, :]
         dalpha = g @ keys_t
         dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
         dq = dscores @ keys.value
@@ -551,12 +485,12 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
             tw = np.concatenate([alpha, dscores], axis=1).transpose(0, 2, 1)
             _acc(keys, tw @ np.concatenate([g, q], axis=1))
         if not query.constant:
-            _acc(query, _matmul_rows(dq, wa.value.T).reshape(query.value.shape))
+            _acc(query, _matmul_rows(dq, wa.value.T))
         if not wa.constant:
-            hd = qs.shape[2]
-            _acc(wa, qs.reshape(-1, hd).T @ dq.reshape(-1, hd))
+            hd = query.value.shape[2]
+            _acc(wa, query.value.reshape(-1, hd).T @ dq.reshape(-1, hd))
 
-    return _record(out if seq else out[:, 0], (query, keys, wa), vjp)
+    return _record(out, (query, keys, wa), vjp)
 
 
 # ---------------------------------------------------------------------------

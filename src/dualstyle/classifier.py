@@ -74,14 +74,13 @@ class TextClassifier:
         emb = ad.embedding(self.params["embed"], ids)  # (B, T, E)
         pooled = []
         for w in self.cfg.widths:
-            conv = ad.add(ad.conv1d(emb, self.params[f"conv{w}_w"]),
-                          self.params[f"conv{w}_b"])
-            conv = ad.relu(conv)
+            conv = ad.relu(ad.conv1d(emb, self.params[f"conv{w}_w"],
+                                     self.params[f"conv{w}_b"]))
             n_windows = ids.shape[1] - w + 1
             valid = np.arange(n_windows)[None, :] <= (lengths[:, None] - w)
             pooled.append(ad.max_over_time(conv, valid))
         features = ad.concat(pooled, axis=1)
-        return ad.add(ad.matmul(features, self.params["lin_w"]), self.params["lin_b"])
+        return ad.affine(features, self.params["lin_w"], self.params["lin_b"])
 
     def classify_prob_batch(self, sentences: list[Sentence]) -> np.ndarray:
         """Softmax over the two style classes, one row per sentence."""
@@ -103,7 +102,7 @@ class TextClassifier:
         with ad.Tape() as tape:
             logits = self._logits(ids, lengths)
             nll = ad.cross_entropy(logits, labels)
-            loss = ad.scale(ad.sum_all(nll), 1.0 / len(sentences))
+            loss = ad.scale(ad.masked_sum(nll, np.ones(len(sentences))), 1.0 / len(sentences))
         ad.backward(tape, loss)
         grads = collect_grads(self.params)
         clip_global_norm(grads, self.cfg.grad_clip)

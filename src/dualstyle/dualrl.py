@@ -170,12 +170,10 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
     else:
         grads = {name: np.zeros_like(p.value) for name, p in policy.params.items()}
     stats = {
-        "mean_reward": float(r_mat.mean()),
         "degenerate": int((valid == 0).sum()),
         "taped_groups": int(groups.size),
         "distinct_pairs": len(distinct_pairs(samples, sources_rep)[0]),
         "samples": samples,
-        "rewards": rewards,
     }
     return grads, stats
 

@@ -119,8 +119,3 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         out[name] = np.zeros_like(p.value) if p.grad is None else p.grad
         p.grad = None
     return out
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.zero_grad()

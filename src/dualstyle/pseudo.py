@@ -29,9 +29,6 @@ class StyleLexicon:
     contexts: dict[str, dict[tuple[str, ...], tuple[set, set]]] = field(default_factory=dict)
     style_names: tuple[str, str] = ("", "")
 
-    def marked(self, style: str, ngram: tuple[str, ...]) -> bool:
-        return ngram in self.entries.get(style, {})
-
     def other_style(self, style: str) -> str:
         a, b = self.style_names
         return b if style == a else a

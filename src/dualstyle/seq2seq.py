@@ -2,17 +2,17 @@
 
 One ``Seq2Seq`` instance is one mapping model.  The encoder is one
 whole-sequence ``lstm_cell`` node.  With the target known (training and
-``log_prob`` scoring) the decoder is one too: the attention context never
-feeds back into the decoder LSTM, so attention and the output layer then run
-once over all B*T target steps.  Sampling and greedy decoding feed each
-emitted token back and so step through the same ops one step at a time; the
-two paths share every layer, so a sample's reported log-probability agrees
-with an independent ``log_prob`` call on it.  A row leaves the step loop once
-it has emitted EOS: its state, attention keys and bias are gathered away, so
-each step computes only the rows still going (as fairseq's
-``SequenceGenerator`` drops finished hypotheses).  The sampler still draws
-one uniform per row at every step, finished or not, so the random stream,
-and with it every sample, is the one a full-width loop would see.
+``log_prob_batch`` scoring) the decoder is one too: the attention context
+never feeds back into the decoder LSTM, so attention and the output layer
+then run once over all B*T target steps.  Sampling and greedy decoding feed
+each emitted token back and so call the same ops once per step, on a
+sequence of length 1; the two paths share every layer, so a sample's reported
+log-probability agrees with an independent ``log_prob_batch`` call on it.  A
+row leaves the step loop once it has emitted EOS: its state, attention keys
+and bias are gathered away, so each step computes only the rows still going
+(as fairseq's ``SequenceGenerator`` drops finished hypotheses).  The sampler
+still draws one uniform per row at every step, finished or not, so the random
+stream, and with it every sample, is the one a full-width loop would see.
 
 An LSTM input is always an embedding row, so its projection ``x @ W_x + b``
 takes one of at most |V| values.  Every LSTM call therefore projects each
@@ -85,13 +85,15 @@ class Seq2Seq:
     # Recurrent state travels as one (B, 2H) array [h | c]; ``lstm_cell``
     # returns that state after every step, (B, T, 2H).
 
-    def _encode(self, src_ids: np.ndarray, src_mask: np.ndarray):
+    def _encode(self, src_ids: np.ndarray, src_mask: np.ndarray, repeat: int = 1):
         """Run the encoder over every step, padding included.
 
         Returns the attention keys (B, T, H), their score bias (B, T) and the
         final state (B, 2H), taken at each row's last real token.  Keys at
         padded steps get exactly zero attention (their bias is ``MASK_NEG``),
         so the states past a row's end reach neither output nor gradient.
+        With ``repeat=k`` the encoder still runs once per source and all three
+        are tiled, so rows b*k to b*k+k-1 share source b.
         """
         batch = src_ids.shape[0]
         hc0 = ad.constant(np.zeros((batch, 2 * self.hidden_dim),
@@ -100,14 +102,19 @@ class Seq2Seq:
         keys = ad.take(states, np.s_[..., : self.hidden_dim])
         attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
         last = src_mask.sum(axis=1).astype(np.int64) - 1
-        return keys, attn_bias, ad.take(states, (np.arange(batch), last))
+        hc = ad.take(states, (np.arange(batch), last))
+        if repeat > 1:
+            keys = ad.repeat_rows(keys, repeat)
+            attn_bias = np.repeat(attn_bias, repeat, axis=0)
+            hc = ad.repeat_rows(hc, repeat)
+        return keys, attn_bias, hc
 
     def _lstm(self, lstm: str, ids: np.ndarray, hc):
         """Run the ``lstm`` ("enc" or "dec") LSTM over token ids from state ``hc``.
 
         The input projection ``embed[u] @ W_x + b`` is one (U, 4H) ``affine``
         over the U distinct ids ``u`` in ``ids``; ``lstm_cell`` gathers its rows
-        at each step.  (B, T) ids give (B, T, 2H) states, (B,) ids one step.
+        at each step.  (B, T) ids give (B, T, 2H) states.
         """
         p = self.params
         uniq, index = np.unique(ids, return_inverse=True)
@@ -115,7 +122,7 @@ class Seq2Seq:
         return ad.lstm_cell(xw, index.reshape(ids.shape), hc, p[f"{lstm}_wh"])
 
     def _output_logits(self, states, keys, attn_bias):
-        """Attention and output layer over decoder states (..., 2H)."""
+        """(B, T, V) logits: attention and output layer over decoder states (B, T, 2H)."""
         p = self.params
         h = ad.take(states, np.s_[..., : self.hidden_dim])
         # nested calls let untaped intermediates go as soon as they are used
@@ -124,20 +131,17 @@ class Seq2Seq:
                          p["out_w"], p["out_b"])
 
     def _decode_step(self, tok_ids: np.ndarray, hc, keys, attn_bias):
-        hc = self._lstm("dec", tok_ids, hc)
-        return self._output_logits(hc, keys, attn_bias), hc
+        """Feed (B,) ids from state ``hc`` as one length-1 sequence; returns
+        the (B, 1, V) logits and the (B, 2H) state after the step."""
+        states = self._lstm("dec", tok_ids[:, None], hc)
+        return self._output_logits(states, keys, attn_bias), ad.take(states, np.s_[:, 0])
 
     def _teacher_forced_logits(self, src_ids, src_mask, tgt_ids, source_repeat: int = 1):
         """(B, T, V) next-token logits with the target fed in, one node per layer.
 
-        With ``source_repeat=k`` the encoder runs once per distinct source and
-        its states are tiled, so targets row b*k+j share source b.
+        With ``source_repeat=k`` target rows b*k to b*k+k-1 share source b.
         """
-        keys, attn_bias, hc = self._encode(src_ids, src_mask)
-        if source_repeat > 1:
-            keys = ad.repeat_rows(keys, source_repeat)
-            attn_bias = np.repeat(attn_bias, source_repeat, axis=0)
-            hc = ad.repeat_rows(hc, source_repeat)
+        keys, attn_bias, hc = self._encode(src_ids, src_mask, source_repeat)
         dec_in = np.concatenate(
             [np.full((tgt_ids.shape[0], 1), BOS, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
@@ -158,15 +162,12 @@ class Seq2Seq:
         """Teacher-forced total log-probabilities, one per (source, target)."""
         for s in sources + targets:
             if s.ids is None or len(s.ids) == 0:
-                raise EmptySequenceError("log_prob needs numericalized, non-empty sentences")
+                raise EmptySequenceError("scoring needs numericalized, non-empty sentences")
         src_ids, src_mask = pad_batch([s.ids for s in sources])
         tgt_ids, tgt_mask = pad_batch([t.ids for t in targets])
         logits = self._teacher_forced_logits(src_ids, src_mask, tgt_ids)
         nll = ad.cross_entropy(logits, tgt_ids).value
         return -(nll * tgt_mask).sum(axis=1)
-
-    def log_prob(self, source: Sentence, target: Sentence) -> float:
-        return float(self.log_prob_batch([source], [target])[0])
 
     # -- generation ---------------------------------------------------------
 
@@ -177,11 +178,7 @@ class Seq2Seq:
         Returns the (rows, steps) chosen ids, PAD past each row's EOS, and each
         row's total log-probability.
         """
-        keys, attn_bias, hc = self._encode(src_ids, src_mask)
-        if k > 1:
-            keys = ad.repeat_rows(keys, k)
-            attn_bias = np.repeat(attn_bias, k, axis=0)
-            hc = ad.repeat_rows(hc, k)
+        keys, attn_bias, hc = self._encode(src_ids, src_mask, k)
         rows = src_ids.shape[0] * k
         live = np.arange(rows)  # the rows that have not emitted EOS yet
         tok = np.full(rows, BOS, dtype=np.int64)
@@ -189,7 +186,7 @@ class Seq2Seq:
         steps = np.full((rows, max_len), PAD, dtype=np.int64)
         for t in range(max_len):
             logits, hc = self._decode_step(tok, hc, keys, attn_bias)
-            logits = logits.value
+            logits = logits.value[:, 0]
             logp = ad.log_softmax_values(logits)
             if rng is None:
                 chosen = logits.argmax(axis=1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dualstyle import autodiff as ad
@@ -46,8 +47,13 @@ def sentence(vocab: Vocabulary, *tokens: str) -> Sentence:
 
 def square_sum(t: ad.Tensor) -> ad.Tensor:
     """sum(t * t) as a scalar node: the flattened row times the flattened column."""
-    n = t.value.size
-    return ad.reshape(ad.matmul(ad.reshape(t, (1, n)), ad.reshape(t, (n, 1))), ())
+    if t.value.ndim == 0:
+        row = col = (None, None)  # a 0-d t as a (1, 1) array
+    else:
+        flat = np.unravel_index(np.arange(t.value.size), t.value.shape)
+        row, col = tuple(i[None, :] for i in flat), tuple(i[:, None] for i in flat)
+    return ad.masked_sum(ad.affine(ad.take(t, row), ad.take(t, col), np.zeros(1)),
+                         np.ones((1, 1)))
 
 
 class DiskFull:

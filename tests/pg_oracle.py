@@ -12,7 +12,7 @@ import numpy as np
 
 from dualstyle import autodiff as ad
 from dualstyle.corpus import EOS, Sentence, Vocabulary, pad_batch
-from dualstyle.optim import collect_grads, zero_grads
+from dualstyle.optim import collect_grads
 from dualstyle.seq2seq import Seq2Seq
 
 MAX_LEN = 3
@@ -66,14 +66,12 @@ def exact_gradient(model, source, table):
         reward = table[tuple(ids)]
         if reward == 0.0:
             continue
-        prob = float(np.exp(model.log_prob(source, outcome_sentence(vocab, ids))))
+        prob = float(np.exp(model.log_prob_batch([source], [outcome_sentence(vocab, ids)])[0]))
         tgt_ids, tgt_mask = pad_batch([ids])
-        zero_grads(model.params)
         with ad.Tape() as tape:
             nll = model._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask)
         ad.backward(tape, nll)
         step = collect_grads(model.params)
-        zero_grads(model.params)
         for k in grads:
             grads[k] -= reward * prob * step[k]  # d log P = -d nll
     return grads

@@ -33,3 +33,33 @@ def test_no_unused_imports():
     assert files
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _autodiff_reads(path: Path) -> set[str]:
+    """Names a module reads from ``autodiff``, as ``ad.name`` or by
+    ``from .autodiff import name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "autodiff":
+                names.update(alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "autodiff")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_autodiff_function_has_a_caller_in_the_package():
+    package = ROOT / "src" / "dualstyle"
+    tree = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    read = set().union(*(_autodiff_reads(path) for path in package.glob("*.py")
+                         if path.name != "autodiff.py"))
+    # grad_check is the tests' reference check, not a pipeline op
+    assert sorted(public - read - {"grad_check"}) == []

@@ -41,7 +41,7 @@ def test_probability_mass_sums_to_one(tiny):
     total = 0.0
     n = 0
     for ids in enumerate_outcomes(len(vocab), 3):
-        total += math.exp(model.log_prob(source, outcome_sentence(vocab, ids)))
+        total += math.exp(model.log_prob_batch([source], [outcome_sentence(vocab, ids)])[0])
         n += 1
     assert n == 85
     assert abs(total - 1.0) < 1e-6
@@ -50,7 +50,7 @@ def test_probability_mass_sums_to_one(tiny):
 def test_log_prob_additive_over_steps(tiny):
     vocab, model, source = tiny
     target = outcome_sentence(vocab, (4, 4, EOS))
-    total = model.log_prob(source, target)
+    total = model.log_prob_batch([source], [target])[0]
     # per-step conditionals via prefix marginals over all continuations
     step_sum = 0.0
     prev = 0.0
@@ -58,11 +58,12 @@ def test_log_prob_additive_over_steps(tiny):
         prefix = target.ids[:t]
         mass = 0.0
         if prefix[-1] == EOS:
-            mass = math.exp(model.log_prob(source, outcome_sentence(vocab, prefix)))
+            mass = math.exp(model.log_prob_batch([source], [outcome_sentence(vocab, prefix)])[0])
         else:
             for ids in enumerate_outcomes(len(vocab), 3):
                 if ids[: len(prefix)] == prefix:
-                    mass += math.exp(model.log_prob(source, outcome_sentence(vocab, ids)))
+                    outcome = outcome_sentence(vocab, ids)
+                    mass += math.exp(model.log_prob_batch([source], [outcome])[0])
         step_sum += math.log(mass) - prev
         prev = math.log(mass)
     assert abs(step_sum - total) < 1e-9
@@ -75,7 +76,7 @@ def test_near_deterministic_degenerate_vocab(tiny):
     bias[4] = 60.0  # force the single content token
     model.params["out_b"].value = bias
     target = outcome_sentence(vocab, (4, 4, 4))  # truncated, no EOS step
-    assert abs(model.log_prob(source, target)) < 1e-6
+    assert abs(model.log_prob_batch([source], [target])[0]) < 1e-6
 
 
 def test_sample_log_probs_match_rescoring(tiny):
@@ -84,7 +85,7 @@ def test_sample_log_probs_match_rescoring(tiny):
     assert len(sents) == 200
     for s, lp in zip(sents, log_probs):
         assert lp <= 1e-12
-        assert abs(model.log_prob(source, s) - lp) < 1e-10
+        assert abs(model.log_prob_batch([source], [s])[0] - lp) < 1e-10
 
 
 def test_sampled_reserved_ids_are_kept_and_rescored(tiny):
@@ -122,7 +123,7 @@ def test_sample_frequencies_match_exact_probabilities(tiny):
         counts[s.ids] = counts.get(s.ids, 0) + 1
     checked = 0
     for ids in enumerate_outcomes(len(vocab), 3):
-        p = math.exp(model.log_prob(source, outcome_sentence(vocab, ids)))
+        p = math.exp(model.log_prob_batch([source], [outcome_sentence(vocab, ids)])[0])
         if p < 1e-6:
             continue
         observed = counts.get(ids, 0) / draws
@@ -184,7 +185,7 @@ def test_log_prob_requires_nonempty(small_vocab):
     model = Seq2Seq(small_vocab, embed_dim=4, hidden_dim=5, seed=3)
     src = sentence(small_vocab, "a")
     with pytest.raises(EmptySequenceError):
-        model.log_prob(Sentence(surface=(), ids=()), src)
+        model.log_prob_batch([Sentence(surface=(), ids=())], [src])
 
 
 def test_log_prob_invariant_to_padding(small_vocab):
