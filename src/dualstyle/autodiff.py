@@ -217,9 +217,11 @@ def repeat_rows(a, k: int) -> Tensor:
 
 
 def masked_sum(a, mask) -> Tensor:
-    """Sum of a * mask; the mask is a constant array of weights."""
+    """Sum of a * mask; the mask is a constant array of weights, shaped as ``a``."""
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=a.value.dtype)
+    if mask.shape != a.value.shape:
+        raise ValueError(f"mask shape {mask.shape} differs from input shape {a.value.shape}")
     out = np.asarray((a.value * mask).sum())
 
     def vjp(g):

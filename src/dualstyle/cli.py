@@ -1,7 +1,7 @@
 """Command-line entry point wiring the whole pipeline.
 
-Subcommands: synth, pretrain-classifier, make-pseudo, pretrain, train,
-transfer, evaluate, ablate.  Every command is deterministic given --seed.
+Subcommands: synth, pretrain-classifier, pretrain, train, transfer,
+evaluate, ablate.  Every command is deterministic given --seed.
 Configuration is a flat JSON file; command-line flags override file values,
 and the fully resolved config is written into the run directory before any
 training starts.  ``train --resume`` refuses a config that differs from the
@@ -79,8 +79,6 @@ DEFAULTS: dict = {
     "dual_batch": 128,
     "beta": 0.5,
     "sample_size": 4,
-    "length_normalize_content": True,
-    "baseline_mode": "leave_one_out",
     "ablation": "rl_plus_mle",
     "patience": 1,
     "grad_clip": 5.0,
@@ -155,13 +153,9 @@ def train_config(cfg: dict) -> TrainConfig:
         dual_lr=cfg["dual_lr"],
         pretrain_batch=cfg["pretrain_batch"],
         dual_batch=cfg["dual_batch"],
-        reward=RewardConfig(
-            beta=cfg["beta"], sample_size=cfg["sample_size"],
-            length_normalize_content=cfg["length_normalize_content"],
-        ),
+        reward=RewardConfig(beta=cfg["beta"], sample_size=cfg["sample_size"]),
         schedule=AnnealSchedule(p0=cfg["p0"], p_max=cfg["p_max"],
                                 rate=cfg["anneal_rate"], gap=cfg["anneal_gap"]),
-        baseline_mode=cfg["baseline_mode"],
         ablation=cfg["ablation"],
         patience=cfg["patience"],
         grad_clip=cfg["grad_clip"],
@@ -249,28 +243,6 @@ def cmd_pretrain_classifier(cfg: dict) -> dict:
     _log(event="pretrain_classifier", dev_acc=round(dev_acc, 4),
          ckpt=run_dir / "checkpoints" / "cls.ckpt")
     return {"clf": clf, "dev_acc": dev_acc, "vocab": vocab}
-
-
-def cmd_make_pseudo(cfg: dict) -> dict:
-    corpus = _load_task(cfg)
-    run_dir = Path(cfg["run_dir"])
-    write_config(cfg, run_dir)
-    vocab = get_vocab(cfg, run_dir, corpus)
-    lex = pseudo.build_style_lexicon(corpus, lam=cfg["salience_lambda"],
-                                     gamma=cfg["salience_gamma"])
-    pairs_f, pairs_g = pseudo.make_pretrain_pairs(corpus, lex, vocab)
-    out = run_dir / "pseudo"
-    out.mkdir(parents=True, exist_ok=True)
-    pseudo.export_pairs_tsv(pairs_f, out / "x2y_pairs.tsv")
-    pseudo.export_pairs_tsv(pairs_g, out / "y2x_pairs.tsv")
-    marked = {style: {" ".join(g): s for g, s in entries.items()}
-              for style, entries in lex.entries.items()}
-    (out / "lexicon.json").write_text(
-        json.dumps(marked, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _log(event="make_pseudo", x2y_pairs=len(pairs_f), y2x_pairs=len(pairs_g),
-         marked_x=len(lex.entries[corpus.label_x.name]),
-         marked_y=len(lex.entries[corpus.label_y.name]))
-    return {"lexicon": lex, "pairs_f": pairs_f, "pairs_g": pairs_g}
 
 
 def _build_models(cfg: dict, vocab: Vocabulary) -> tuple[Seq2Seq, Seq2Seq]:
@@ -423,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain-classifier", help="train and freeze the style classifier")
     _add_common(p)
     p.set_defaults(func=lambda cfg, args: cmd_pretrain_classifier(cfg))
-
-    p = sub.add_parser("make-pseudo", help="build the salience lexicon and template pairs")
-    _add_common(p)
-    p.set_defaults(func=lambda cfg, args: cmd_make_pseudo(cfg))
 
     p = sub.add_parser("pretrain", help="warm-start both transfer models on template pairs")
     _add_common(p)

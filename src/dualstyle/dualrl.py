@@ -33,7 +33,6 @@ from .rewards import RewardConfig, combined_rewards, distinct_pairs
 from .seq2seq import Seq2Seq
 
 ABLATIONS = ("rl_plus_mle", "rl_only", "mle_only")
-BASELINE_MODES = ("leave_one_out", "none")
 
 
 @dataclass
@@ -73,7 +72,6 @@ class TrainConfig:
     dual_batch: int = 128
     reward: RewardConfig = field(default_factory=RewardConfig)
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
-    baseline_mode: str = "leave_one_out"
     ablation: str = "rl_plus_mle"
     patience: int = 1
     grad_clip: float = 5.0
@@ -84,8 +82,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
-        if self.baseline_mode not in BASELINE_MODES:
-            raise ValueError(f"baseline_mode must be one of {BASELINE_MODES}")
         if min(self.pretrain_lr, self.dual_lr) <= 0:
             raise ValueError("learning rates must be positive")
 
@@ -121,19 +117,20 @@ def should_teacher_force(state: TrainState, direction: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
-                       reward_fn, baseline_mode: str, rng: np.random.Generator,
-                       temperature: float = 1.0, max_len: int | None = None,
+                       reward_fn, rng: np.random.Generator, max_len: int,
+                       temperature: float = 1.0,
                        ) -> tuple[dict[str, np.ndarray], dict]:
     """Sampled estimate of the gradient of expected reward, as parameter grads.
 
     Draws k samples per source, scores them with ``reward_fn(samples,
-    sources_repeated) -> rewards``, subtracts the leave-one-out baseline when
-    enabled, and backpropagates (1/(B*k)) * sum advantage * log-prob.  Empty
-    samples keep their gradient term with reward 0 but are excluded from the
-    baseline means, so the estimator stays unbiased.
+    sources_repeated) -> rewards``, subtracts the leave-one-out baseline (for
+    k > 1; at k = 1 the advantage is the reward itself), and backpropagates
+    (1/(B*k)) * sum advantage * log-prob.  Empty samples keep their gradient
+    term with reward 0 but are excluded from the baseline means, so the
+    estimator stays unbiased.
 
     A source group whose k advantages are all zero adds exactly nothing to
-    that sum (with the leave-one-out baseline, any group of k equal rewards),
+    that sum (for k > 1, any group of k equal rewards),
     so only the other groups are taped; with none left the gradient is an
     exact zero array per parameter.  Stats: ``taped_groups`` of B, and
     ``distinct_pairs``, the non-empty (sample, source) pairs each reward scores.
@@ -147,7 +144,7 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
     rewards = rewards * valid
     r_mat = rewards.reshape(batch, k)
     v_mat = valid.reshape(batch, k)
-    if baseline_mode == "leave_one_out" and k > 1:
+    if k > 1:
         # pairwise-difference form of R_k - mean(others): exactly zero when
         # all rewards in a group agree
         diffs = (r_mat[:, :, None] - r_mat[:, None, :]) * v_mat[:, None, :]
@@ -205,8 +202,8 @@ def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
         return r_total
 
     grads, stats = reinforce_gradient(
-        policy, batch, cfg.reward.sample_size, reward_fn, cfg.baseline_mode,
-        rng, cfg.temperature, cfg.max_decode_len,
+        policy, batch, cfg.reward.sample_size, reward_fn, rng,
+        cfg.max_decode_len, cfg.temperature,
     )
     grad_norm = clip_global_norm(grads, cfg.grad_clip)
     adam_step(policy.params, grads, opt)
@@ -223,15 +220,13 @@ def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
 
 def teacher_forcing_step(model: Seq2Seq, opposite_live: Seq2Seq,
                          batch: list[Sentence], opt: AdamState,
-                         cfg: TrainConfig, iteration: int = 0) -> float:
+                         cfg: TrainConfig) -> float:
     """Back-translate a batch with the live opposite model, then one MLE step.
 
     The pair's target side is always the authentic corpus sentence.
     """
-    pairs = back_translate_batch(opposite_live, batch, iteration,
-                                 max_len=cfg.max_decode_len)
-    return model.mle_step([(p.source, p.target) for p in pairs], opt,
-                          cfg.grad_clip)
+    pairs = back_translate_batch(opposite_live, batch, cfg.max_decode_len)
+    return model.mle_step(pairs, opt, cfg.grad_clip)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +246,14 @@ def pretrain(model_f: Seq2Seq, model_g: Seq2Seq,
     ):
         opt = AdamState(lr=cfg.pretrain_lr)
         rng = np.random.default_rng([cfg.seed, salt])
-        dev_tuples = [(p.source, p.target) for p in dev_pairs] if dev_pairs else None
-        ppl_before = (
-            math.exp(model.mean_nll(dev_tuples)) if dev_tuples else None
-        )
+        ppl_before = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
         losses = []
         for _ in range(cfg.pretrain_epochs):
             order = rng.permutation(len(pairs))
             for lo in range(0, len(order), cfg.pretrain_batch):
                 chunk = [pairs[i] for i in order[lo: lo + cfg.pretrain_batch]]
-                losses.append(model.mle_step(
-                    [(p.source, p.target) for p in chunk], opt, cfg.grad_clip
-                ))
-        ppl_after = (
-            math.exp(model.mean_nll(dev_tuples)) if dev_tuples else None
-        )
+                losses.append(model.mle_step(chunk, opt, cfg.grad_clip))
+        ppl_after = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
         report[name] = {
             "ppl_before": ppl_before,
             "ppl_after": ppl_after,
@@ -346,13 +334,11 @@ def _history_row(state: TrainState, reward_sums: dict, n_rl: int, dev: dict) -> 
     return row
 
 
-def _append_event(path: Path | None, event: dict) -> int:
+def _append_event(path: Path, event: dict) -> int:
     """Append one line to the run's event record and flush it to disk.
 
-    Returns the record's length in bytes (0 without a run directory).
+    Returns the record's length in bytes.
     """
-    if path is None:
-        return 0
     with open(path, "ab") as fh:
         fh.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
         fh.flush()
@@ -360,10 +346,9 @@ def _append_event(path: Path | None, event: dict) -> int:
         return fh.tell()
 
 
-def _save_models(run_dir: Path | None, tag: str, model_f: Seq2Seq, model_g: Seq2Seq) -> None:
-    if run_dir is not None:
-        model_f.save(run_dir / "checkpoints" / f"f_{tag}.ckpt")
-        model_g.save(run_dir / "checkpoints" / f"g_{tag}.ckpt")
+def _save_models(run_dir: Path, tag: str, model_f: Seq2Seq, model_g: Seq2Seq) -> None:
+    model_f.save(run_dir / "checkpoints" / f"f_{tag}.ckpt")
+    model_g.save(run_dir / "checkpoints" / f"g_{tag}.ckpt")
 
 
 def save_train_state(run_dir, state: TrainState) -> None:
@@ -377,7 +362,7 @@ def load_train_state(run_dir) -> TrainState:
 
 
 def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
-          corpus: StyleCorpus, cfg: TrainConfig, run_dir=None,
+          corpus: StyleCorpus, cfg: TrainConfig, run_dir,
           gold_refs: dict | None = None, resume: bool = False) -> TrainResult:
     """Alternating dual training; returns the best-dev-score checkpoints.
 
@@ -402,12 +387,10 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     state = TrainState()
     history = []
     start_epoch = 0
-    run_dir = Path(run_dir) if run_dir is not None else None
-    events = run_dir / "events.jsonl" if run_dir is not None else None
+    run_dir = Path(run_dir)
+    events = run_dir / "events.jsonl"
+    ck = run_dir / "checkpoints"
     if resume:
-        if run_dir is None:
-            raise ValueError("resume needs a run directory")
-        ck = run_dir / "checkpoints"
         model_f.load_state_dict(load_checkpoint(ck / "f_last.ckpt")[0])
         model_g.load_state_dict(load_checkpoint(ck / "g_last.ckpt")[0])
         arrays, meta = load_checkpoint(ck / "opt_f_last.ckpt")
@@ -422,7 +405,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             event = json.loads(line)
             if event.pop("event") == "epoch":
                 history.append(event)
-    elif run_dir is not None:
+    else:
         run_dir.mkdir(parents=True, exist_ok=True)
         events.write_bytes(b"")
 
@@ -457,15 +440,13 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                 stats_f = rl_step(model_f, model_g, clf, rl_x[it % len(rl_x)],
                                   corpus.label_y, cfg, opt_f, rng)
             if mle_on and should_teacher_force(state, "x2y"):
-                teacher_forcing_step(model_f, model_g, tf_y[it % len(tf_y)],
-                                     opt_f, cfg, state.iteration)
+                teacher_forcing_step(model_f, model_g, tf_y[it % len(tf_y)], opt_f, cfg)
 
             if rl_on:
                 stats_g = rl_step(model_g, f_snap, clf, rl_y[it % len(rl_y)],
                                   corpus.label_x, cfg, opt_g, rng)
             if mle_on and should_teacher_force(state, "y2x"):
-                teacher_forcing_step(model_g, model_f, tf_x[it % len(tf_x)],
-                                     opt_g, cfg, state.iteration)
+                teacher_forcing_step(model_g, model_f, tf_x[it % len(tf_x)], opt_g, cfg)
 
             if rl_on:
                 event = {"event": "iteration", "iteration": state.iteration}
@@ -496,12 +477,10 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         else:
             state.epochs_since_improvement += 1
         state.epoch = epoch + 1
-        if run_dir is not None:
-            _save_models(run_dir, "last", model_f, model_g)
-            ck = run_dir / "checkpoints"
-            save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
-            save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
-            save_train_state(run_dir, state)
+        _save_models(run_dir, "last", model_f, model_g)
+        save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
+        save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
+        save_train_state(run_dir, state)
         if state.epochs_since_improvement >= cfg.patience:
             break
         if state.iteration >= max_iters:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import Sentence, StyleCorpus, StyleLabel, Vocabulary, ngrams
 from .seq2seq import Seq2Seq
@@ -23,8 +24,6 @@ _RIGHT_EDGE = "</s>"
 class StyleLexicon:
     """Marked n-grams per style with salience scores and slot contexts."""
 
-    lam: float
-    gamma: float
     entries: dict[str, dict[tuple[str, ...], float]]
     contexts: dict[str, dict[tuple[str, ...], tuple[set, set]]] = field(default_factory=dict)
     style_names: tuple[str, str] = ("", "")
@@ -34,12 +33,9 @@ class StyleLexicon:
         return b if style == a else a
 
 
-@dataclass(frozen=True)
-class PseudoPair:
+class PseudoPair(NamedTuple):
     source: Sentence
     target: Sentence
-    provenance: str  # template | back_translation
-    iteration: int = 0
 
 
 def _ngram_counts(sentences: list[Sentence], max_n: int = 2) -> Counter:
@@ -73,8 +69,7 @@ def build_style_lexicon(corpus: StyleCorpus, lam: float = 1.0,
             score = salience(cnt, counts[other].get(gram, 0), lam)
             if score >= gamma:
                 entries[own][gram] = score
-    lex = StyleLexicon(lam=lam, gamma=gamma, entries=entries,
-                       style_names=(name_x, name_y))
+    lex = StyleLexicon(entries=entries, style_names=(name_x, name_y))
     for label in corpus.labels():
         lex.contexts[label.name] = _slot_contexts(
             corpus.of(label, "train"), entries[label.name]
@@ -185,30 +180,17 @@ def make_pretrain_pairs(corpus: StyleCorpus, lex: StyleLexicon,
             transferred, applied = template_transfer(sent, lex, opposite)
             src = vocab.to_ids(sent) if sent.ids is None else sent
             tgt = vocab.to_ids(transferred) if applied else src
-            sink.append(PseudoPair(source=src, target=tgt, provenance="template"))
+            sink.append(PseudoPair(src, tgt))
     return pairs_f, pairs_g
 
 
 def back_translate_batch(model: Seq2Seq, sentences: list[Sentence],
-                         iteration: int = 0, max_len: int | None = None,
-                         ) -> list[PseudoPair]:
+                         max_len: int) -> list[PseudoPair]:
     """Pair each greedy output of ``model`` with the sentence it came from.
 
     ``model`` must be the live opposite-direction model; the target side is
     always the real corpus sentence.
     """
-    generated = model.greedy_decode_batch(sentences, max_len=max_len)
-    return [
-        PseudoPair(source=g, target=s, provenance="back_translation",
-                   iteration=iteration)
-        for g, s in zip(generated, sentences)
-    ]
+    generated = model.greedy_decode_batch(sentences, max_len)
+    return [PseudoPair(g, s) for g, s in zip(generated, sentences)]
 
-
-def export_pairs_tsv(pairs: list[PseudoPair], path) -> None:
-    """TSV dump: source, target, provenance, iteration."""
-    from pathlib import Path
-
-    lines = [f"{p.source.text()}\t{p.target.text()}\t{p.provenance}\t{p.iteration}"
-             for p in pairs]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

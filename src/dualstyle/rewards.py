@@ -2,9 +2,8 @@
 and their weighted harmonic combination.
 
 The content reward is the probability that the opposite-direction model
-reconstructs the original sentence from the transferred one.  By default it
-is length-normalized (per-token geometric mean); the raw sequence
-probability is available behind ``length_normalize_content=False``.
+reconstructs the original sentence from the transferred one, normalized
+for length: the per-token geometric mean of the sequence probability.
 
 A policy often draws the same sample for a source again (over a third of
 the (sample, source) pairs of a desk batch repeat an earlier one), so both
@@ -27,7 +26,6 @@ from .seq2seq import Seq2Seq
 class RewardConfig:
     beta: float = 0.5
     sample_size: int = 4
-    length_normalize_content: bool = True
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -42,15 +40,13 @@ def style_reward_batch(clf: TextClassifier, sentences: list[Sentence],
 
 
 def content_reward_batch(back_model: Seq2Seq, y_primes: list[Sentence],
-                         xs: list[Sentence], cfg: RewardConfig) -> np.ndarray:
+                         xs: list[Sentence]) -> np.ndarray:
     for s in y_primes + xs:
         if s.ids is None or len(s.ids) == 0:
             raise EmptySequenceError("content reward needs non-empty sentences")
     log_probs = back_model.log_prob_batch(y_primes, xs)
-    if cfg.length_normalize_content:
-        lengths = np.array([len(x.ids) for x in xs], dtype=np.float64)
-        return np.exp(log_probs / lengths)
-    return np.exp(log_probs)
+    lengths = np.array([len(x.ids) for x in xs], dtype=np.float64)
+    return np.exp(log_probs / lengths)
 
 
 def combine(r_style: float, r_content: float, beta: float) -> float:
@@ -106,5 +102,5 @@ def combined_rewards(clf: TextClassifier, back_model: Seq2Seq,
         vx = [xs[i] for i in rows]
         valid = slot >= 0
         r_style[valid] = style_reward_batch(clf, vp, target)[slot[valid]]
-        r_content[valid] = content_reward_batch(back_model, vp, vx, cfg)[slot[valid]]
+        r_content[valid] = content_reward_batch(back_model, vp, vx)[slot[valid]]
     return r_style, r_content, combine_batch(r_style, r_content, cfg.beta)

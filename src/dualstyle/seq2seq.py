@@ -46,10 +46,6 @@ from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 MASK_NEG = -1e9  # additive score for padded source positions; exp underflows to 0
 
 
-def _default_max_len(source_len: int, cap: int = 32) -> int:
-    return min(source_len + 5, cap)
-
-
 class Seq2Seq:
     """Single-layer LSTM encoder-decoder with bilinear attention."""
 
@@ -223,20 +219,15 @@ class Seq2Seq:
         return out
 
     def sample_batch(self, sources: list[Sentence], k: int,
-                     rng: np.random.Generator, max_len: int | None = None,
+                     rng: np.random.Generator, max_len: int,
                      temperature: float = 1.0) -> tuple[list[Sentence], np.ndarray]:
         """Draw k samples per source; returns row-major (source major) lists."""
         src_ids, src_mask = pad_batch([s.ids for s in sources])
-        if max_len is None:
-            max_len = _default_max_len(max(len(s.ids) for s in sources))
         steps, log_probs = self._run_decode(src_ids, src_mask, max_len, k, rng, temperature)
         return self._rows_to_sentences(steps), log_probs
 
-    def greedy_decode_batch(self, sources: list[Sentence],
-                            max_len: int | None = None) -> list[Sentence]:
+    def greedy_decode_batch(self, sources: list[Sentence], max_len: int) -> list[Sentence]:
         src_ids, src_mask = pad_batch([s.ids for s in sources])
-        if max_len is None:
-            max_len = _default_max_len(max(len(s.ids) for s in sources))
         steps, _ = self._run_decode(src_ids, src_mask, max_len, 1, None, 1.0)
         return self._rows_to_sentences(steps)
 

@@ -47,6 +47,13 @@ def test_shared_node_gradient_accumulates():
     assert abs(float(x.grad[0, 0]) - 24.0) < 1e-12  # d(2x)^2/dx = 8x
 
 
+def test_masked_sum_rejects_a_mask_of_another_shape():
+    # a broadcast mask would hand the input a gradient of the mask's shape
+    z = ad.parameter(np.ones((1, 1)))
+    with pytest.raises(ValueError, match=r"\(\).*\(1, 1\)"):
+        ad.masked_sum(z, 1.0)
+
+
 def test_non_scalar_loss_rejected():
     x = ad.parameter(np.ones(3))
     with ad.Tape() as tape:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualstyle import cli
+from dualstyle.checkpoint import checkpoint_hash
 from dualstyle.corpus import EOS
 from dualstyle.dualrl import TrainConfig, evaluate_dev
 from dualstyle.errors import DualStyleError
@@ -152,3 +153,15 @@ def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch)
     assert sorted(p.name for p in run_dir.iterdir() if p.is_file()) == [
         "config.json", "events.jsonl", "vocab.txt"]
     assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0
+
+
+def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):
+    run = _trained_run(tmp_path)
+    assert run(["ablate", "--mode", "mle_only"]) == 0
+    base, sub = tmp_path / "run", tmp_path / "run" / "ablate_mle_only"
+    for name in ("cls", "f_pre", "g_pre"):
+        assert checkpoint_hash(sub / "checkpoints" / f"{name}.ckpt") == \
+            checkpoint_hash(base / "checkpoints" / f"{name}.ckpt"), name
+    events = [json.loads(line) for line in (sub / "events.jsonl").read_text().splitlines()]
+    assert any(e["event"] == "epoch" for e in events)
+    assert json.loads((sub / "config.json").read_text())["ablation"] == "mle_only"

@@ -118,7 +118,7 @@ def test_equal_rewards_give_zero_gradient():
     rng = np.random.default_rng(0)
     grads, stats = reinforce_gradient(
         model, [source] * 4, 3, lambda samples, _: np.full(len(samples), 0.7),
-        "leave_one_out", rng, max_len=3,
+        rng, max_len=3,
     )
     assert stats["degenerate"] == 0
     assert stats["taped_groups"] == 0
@@ -185,7 +185,7 @@ def test_reinforce_gradient_tapes_only_groups_with_weight():
         return np.where((rows // k) % 2 == 0, 0.5, 0.2 + 0.3 * (rows % k))
 
     grads, stats = reinforce_gradient(model, [source] * batch, k, reward_fn,
-                                      "leave_one_out", np.random.default_rng(1), max_len=3)
+                                      np.random.default_rng(1), max_len=3)
     assert stats["degenerate"] == 0
     assert stats["taped_groups"] == 3
     assert stats["distinct_pairs"] == len({s.ids for s in stats["samples"]})
@@ -200,35 +200,23 @@ def test_reinforce_gradient_tapes_only_groups_with_weight():
         assert np.linalg.norm(grads[name] - g) <= 1e-5 * np.linalg.norm(g), name
 
 
-def test_k1_baseline_reduces_to_plain_estimator():
-    vocab, model, source = build_masked_model(seed=4)
-    table = make_reward_table(seed=2)
-    fn = reward_fn_from_table(table)
-    g1, _ = reinforce_gradient(model, [source] * 8, 1, fn, "leave_one_out",
-                               np.random.default_rng(5), max_len=3)
-    g2, _ = reinforce_gradient(model, [source] * 8, 1, fn, "none",
-                               np.random.default_rng(5), max_len=3)
-    for k in g1:
-        assert np.array_equal(g1[k], g2[k])
-
-
-@pytest.mark.parametrize("baseline", ["none", "leave_one_out"])
-def test_estimator_is_unbiased(baseline):
+@pytest.mark.parametrize("k", [1, 4])
+def test_estimator_is_unbiased(k):
+    # k = 1 is the plain estimator (the advantage is the reward itself);
+    # k = 4 subtracts the leave-one-out baseline
     vocab, model, source = build_masked_model(seed=0)
     table = make_reward_table(seed=1)
     fn = reward_fn_from_table(table)
     exact = exact_gradient(model, source, table)
 
-    k = 4
     per_batch = 40
-    n_batches = 120  # 19.2k samples: a fast version of the acceptance check
+    n_batches = 120  # 19.2k samples at k = 4: a fast version of the acceptance check
     rng = np.random.default_rng(99)
     names = sorted(exact)
     sums = {k_: np.zeros_like(exact[k_]) for k_ in names}
     sq_sums = {k_: np.zeros_like(exact[k_]) for k_ in names}
     for _ in range(n_batches):
-        grads, _ = reinforce_gradient(model, [source] * per_batch, k, fn,
-                                      baseline, rng, max_len=3)
+        grads, _ = reinforce_gradient(model, [source] * per_batch, k, fn, rng, max_len=3)
         for k_ in names:
             est = -grads[k_]  # loss gradient is minus the reward gradient
             sums[k_] += est
@@ -272,10 +260,10 @@ def test_teacher_forcing_targets_are_authentic(tiny_task, tiny_models):
     model = model_f.clone()
     batch = corpus.of(corpus.label_y, "train")[:8]
     from dualstyle.pseudo import back_translate_batch
-    pairs = back_translate_batch(model_g, batch, iteration=1)
+    cfg = TrainConfig()
+    pairs = back_translate_batch(model_g, batch, cfg.max_decode_len)
     assert all(p.target is s for p, s in zip(pairs, batch))
-    loss = teacher_forcing_step(model, model_g, batch,
-                                AdamState(lr=1e-3), TrainConfig(), iteration=1)
+    loss = teacher_forcing_step(model, model_g, batch, AdamState(lr=1e-3), cfg)
     assert math.isfinite(loss) and loss > 0
 
 
@@ -395,14 +383,14 @@ def test_best_checkpoint_matches_best_score(tiny_task, warm_models, tiny_classif
     assert redo["dev_score"] == pytest.approx(res.state.best_score, abs=1e-9)
 
 
-def test_early_stopping_stops_after_stall(tiny_task, warm_models, tiny_classifier):
+def test_early_stopping_stops_after_stall(tiny_task, warm_models, tiny_classifier, tmp_path):
     corpus, gold, vocab = tiny_task
     model_f, model_g = warm_models
     # patience 1 with a long epoch budget: the run must halt on the first
     # epoch whose dev score fails to improve, not exhaust the budget
     cfg = mini_cfg(max_dual_epochs=12, patience=1)
     res = train(model_f.clone(), model_g.clone(), tiny_classifier, corpus, cfg,
-                gold_refs=gold.refs)
+                run_dir=tmp_path, gold_refs=gold.refs)
     scores = [row["dev_score"] for row in res.history]
     if len(res.history) < 12:
         assert scores[-1] <= max(scores[:-1])
@@ -516,10 +504,10 @@ def test_ablation_modes_run(tiny_task, warm_models, tiny_classifier, mode, tmp_p
         assert row["mean_r_style"] is not None
 
 
-def test_train_requires_frozen_classifier(tiny_task, warm_models):
+def test_train_requires_frozen_classifier(tiny_task, warm_models, tmp_path):
     corpus, _, vocab = tiny_task
     from dualstyle.classifier import ClassifierConfig, TextClassifier
     clf = TextClassifier(vocab, ClassifierConfig(embed_dim=8, channels=4, seed=0))
     model_f, model_g = warm_models
     with pytest.raises(RuntimeError):
-        train(model_f.clone(), model_g.clone(), clf, corpus, mini_cfg())
+        train(model_f.clone(), model_g.clone(), clf, corpus, mini_cfg(), run_dir=tmp_path)

@@ -66,7 +66,7 @@ def test_taped_passes_are_float32_and_masters_stay_float64(small_vocab, monkeypa
     model.mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))), opt)
     grads, _ = reinforce_gradient(
         model, sources, 2, lambda samples, _: np.linspace(0.0, 1.0, len(samples)),
-        "leave_one_out", np.random.default_rng(0), max_len=6)
+        np.random.default_rng(0), max_len=6)
 
     assert len(tapes) == 2
     for dtypes in tapes:
