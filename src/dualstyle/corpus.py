@@ -162,7 +162,10 @@ def load_corpus(data_dir, style_x: str, style_y: str) -> StyleCorpus:
                     raise FileNotFoundError(f"missing corpus file {path}")
                 continue
             lines = path.read_text(encoding="utf-8").splitlines()
-            data[(style, split)] = [tokenize(ln) for ln in lines if ln.strip()]
+            for number, line in enumerate(lines, 1):
+                if not line.strip():
+                    raise EmptyLineError(f"{path}:{number}: blank line")
+            data[(style, split)] = [tokenize(ln) for ln in lines]
     return StyleCorpus(StyleLabel(0, style_x), StyleLabel(1, style_y), data)
 
 

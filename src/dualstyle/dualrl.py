@@ -4,13 +4,17 @@ updates on the two mapping models, and annealed pseudo teacher forcing.
 Each iteration trains the x->y model on a style-x batch (sampled transfers
 scored by the frozen classifier and by the opposite model's reconstruction
 probability), optionally consolidates it with one MLE step on back-translated
-pairs, then does the mirrored pair of updates for the y->x model.
+pairs, then does the mirrored pair of updates for the y->x model.  A
+policy-gradient step is three plain calls: ``sample_batch``, then
+``combined_rewards``, then ``reinforce_gradient`` on the samples and rewards.
 
-A run directory holds the checkpoints and one append-only record,
-``events.jsonl``: a JSON line per RL iteration (the two directions' mean
-rewards) and per epoch (the ``TrainResult.history`` row).  The ``last``
+A run directory keeps each thing once.  The best models live only in
+``f_best.ckpt``/``g_best.ckpt``.  The history lives only in one append-only
+record, ``events.jsonl``: a JSON line per RL iteration (the two directions'
+mean rewards) and per epoch (the ``TrainResult.history`` row).  The ``last``
 checkpoint's ``state.json`` stores the record's length, so a resume cuts the
-record back to that length and rebuilds the history from its epoch lines.
+record back to that length; a straight and a resumed run both read their
+history back from its epoch lines.
 """
 
 from __future__ import annotations
@@ -116,32 +120,28 @@ def should_teacher_force(state: TrainState, direction: str) -> bool:
 # policy gradient
 # ---------------------------------------------------------------------------
 
-def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
-                       reward_fn, rng: np.random.Generator, max_len: int,
-                       temperature: float = 1.0,
-                       ) -> tuple[dict[str, np.ndarray], dict]:
+def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence],
+                       samples: list[Sentence], rewards: np.ndarray,
+                       ) -> tuple[dict[str, np.ndarray], int]:
     """Sampled estimate of the gradient of expected reward, as parameter grads.
 
-    Draws k samples per source, scores them with ``reward_fn(samples,
-    sources_repeated) -> rewards``, subtracts the leave-one-out baseline (for
-    k > 1; at k = 1 the advantage is the reward itself), and backpropagates
-    (1/(B*k)) * sum advantage * log-prob.  Empty samples keep their gradient
-    term with reward 0 but are excluded from the baseline means, so the
-    estimator stays unbiased.
+    ``samples`` holds k = len(samples) // len(sources) samples per source,
+    source major, and ``rewards`` one reward per sample.  Subtracts the
+    leave-one-out baseline (for k > 1; at k = 1 the advantage is the reward
+    itself) and backpropagates (1/(B*k)) * sum advantage * log-prob.  Empty
+    samples keep their gradient term with reward 0 but are excluded from the
+    baseline means, so the estimator stays unbiased.
 
     A source group whose k advantages are all zero adds exactly nothing to
     that sum (for k > 1, any group of k equal rewards),
     so only the other groups are taped; with none left the gradient is an
-    exact zero array per parameter.  Stats: ``taped_groups`` of B, and
-    ``distinct_pairs``, the non-empty (sample, source) pairs each reward scores.
+    exact zero array per parameter.  Returns the gradients and the number of
+    taped groups.
     """
     batch = len(sources)
-    samples, _ = policy.sample_batch(sources, k, rng, max_len, temperature)
-    sources_rep = [sources[i // k] for i in range(batch * k)]
-    rewards = np.asarray(reward_fn(samples, sources_rep), dtype=np.float64)
-
+    k = len(samples) // batch
     valid = np.array([len(s.surface) > 0 for s in samples], dtype=np.float64)
-    rewards = rewards * valid
+    rewards = np.asarray(rewards, dtype=np.float64) * valid
     r_mat = rewards.reshape(batch, k)
     v_mat = valid.reshape(batch, k)
     if k > 1:
@@ -166,13 +166,7 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence], k: int,
             source_repeat=k))
     else:
         grads = {name: np.zeros_like(p.value) for name, p in policy.params.items()}
-    stats = {
-        "degenerate": int((valid == 0).sum()),
-        "taped_groups": int(groups.size),
-        "distinct_pairs": len(distinct_pairs(samples, sources_rep)[0]),
-        "samples": samples,
-    }
-    return grads, stats
+    return grads, int(groups.size)
 
 
 def taped_groups(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,36 +179,28 @@ def taped_groups(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
             batch: list[Sentence], target: StyleLabel, cfg: TrainConfig,
             opt: AdamState, rng: np.random.Generator) -> dict:
-    """One policy-gradient update for one direction.
+    """One policy-gradient update for one direction: sample k transfers per
+    source, score them, and take one clipped Adam step on their gradient.
 
-    Returns the mean rewards, the degenerate count, the gradient norm before
-    clipping and ``reinforce_gradient``'s ``taped_groups`` and ``distinct_pairs``.
+    Returns the mean rewards, the degenerate (empty) sample count, the gradient
+    norm before clipping, ``taped_groups`` and ``distinct_pairs``.
     """
-    captured = {}
-
-    def reward_fn(samples, sources_rep):
-        r_style, r_content, r_total = combined_rewards(
-            clf, opposite_snapshot, samples, sources_rep, target, cfg.reward
-        )
-        captured["r_style"] = r_style
-        captured["r_content"] = r_content
-        captured["r_total"] = r_total
-        return r_total
-
-    grads, stats = reinforce_gradient(
-        policy, batch, cfg.reward.sample_size, reward_fn, rng,
-        cfg.max_decode_len, cfg.temperature,
-    )
+    k = cfg.reward.sample_size
+    samples, _ = policy.sample_batch(batch, k, rng, cfg.max_decode_len, cfg.temperature)
+    sources_rep = [batch[i // k] for i in range(len(samples))]
+    r_style, r_content, r_total = combined_rewards(
+        clf, opposite_snapshot, samples, sources_rep, target, cfg.reward)
+    grads, groups = reinforce_gradient(policy, batch, samples, r_total)
     grad_norm = clip_global_norm(grads, cfg.grad_clip)
     adam_step(policy.params, grads, opt)
     return {
-        "mean_r_style": float(np.mean(captured["r_style"])),
-        "mean_r_content": float(np.mean(captured["r_content"])),
-        "mean_r_total": float(np.mean(captured["r_total"])),
-        "degenerate": stats["degenerate"],
+        "mean_r_style": float(np.mean(r_style)),
+        "mean_r_content": float(np.mean(r_content)),
+        "mean_r_total": float(np.mean(r_total)),
+        "degenerate": sum(len(s.surface) == 0 for s in samples),
         "grad_norm": grad_norm,
-        "taped_groups": stats["taped_groups"],
-        "distinct_pairs": stats["distinct_pairs"],
+        "taped_groups": groups,
+        "distinct_pairs": len(distinct_pairs(samples, sources_rep)[0]),
     }
 
 
@@ -247,18 +233,13 @@ def pretrain(model_f: Seq2Seq, model_g: Seq2Seq,
         opt = AdamState(lr=cfg.pretrain_lr)
         rng = np.random.default_rng([cfg.seed, salt])
         ppl_before = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
-        losses = []
         for _ in range(cfg.pretrain_epochs):
             order = rng.permutation(len(pairs))
             for lo in range(0, len(order), cfg.pretrain_batch):
                 chunk = [pairs[i] for i in order[lo: lo + cfg.pretrain_batch]]
-                losses.append(model.mle_step(chunk, opt, cfg.grad_clip))
+                model.mle_step(chunk, opt, cfg.grad_clip)
         ppl_after = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
-        report[name] = {
-            "ppl_before": ppl_before,
-            "ppl_after": ppl_after,
-            "final_loss": losses[-1] if losses else None,
-        }
+        report[name] = {"ppl_before": ppl_before, "ppl_after": ppl_after}
     return report
 
 
@@ -364,14 +345,16 @@ def load_train_state(run_dir) -> TrainState:
 def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
           corpus: StyleCorpus, cfg: TrainConfig, run_dir,
           gold_refs: dict | None = None, resume: bool = False) -> TrainResult:
-    """Alternating dual training; returns the best-dev-score checkpoints.
+    """Alternating dual training of ``model_f`` and ``model_g`` in place.
 
     Per iteration: policy-gradient update for the x->y model on a style-x
     batch, conditional teacher forcing for it on back-translated style-y
     sentences, then the mirrored updates for the y->x model.  Dev score is
     evaluated once per epoch; training stops at the iteration/epoch budget or
     once the score has not improved for ``patience`` epochs, whichever comes
-    first, and the best checkpoint is returned.
+    first.  The models passed in come back holding the best weights, read
+    from ``f_best.ckpt``/``g_best.ckpt``, or as trained if no epoch ran.  The
+    history is the epoch lines of ``events.jsonl`` without their ``"event"``.
     """
     if not clf.frozen:
         raise RuntimeError("classifier must be frozen before dual training")
@@ -385,7 +368,6 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     opt_f = AdamState(lr=cfg.dual_lr)
     opt_g = AdamState(lr=cfg.dual_lr)
     state = TrainState()
-    history = []
     start_epoch = 0
     run_dir = Path(run_dir)
     events = run_dir / "events.jsonl"
@@ -401,19 +383,10 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         start_epoch = state.epoch
         # lines past the checkpoint were written by iterations that rerun
         os.truncate(events, state.events_bytes)
-        for line in events.read_text(encoding="utf-8").splitlines():
-            event = json.loads(line)
-            if event.pop("event") == "epoch":
-                history.append(event)
     else:
         run_dir.mkdir(parents=True, exist_ok=True)
         events.write_bytes(b"")
 
-    best_f = model_f.clone()
-    best_g = model_g.clone()
-    if resume and state.best_epoch >= 0:
-        best_f.load_state_dict(load_checkpoint(ck / "f_best.ckpt")[0])
-        best_g.load_state_dict(load_checkpoint(ck / "g_best.ckpt")[0])
     rl_on = cfg.ablation in ("rl_plus_mle", "rl_only")
     mle_on = cfg.ablation in ("rl_plus_mle", "mle_only")
 
@@ -463,7 +436,6 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
         dev = evaluate_dev(model_f, model_g, clf, corpus, cfg, gold_refs)
         row = _history_row(state, reward_sums, n_rl, dev)
-        history.append(row)
         state.events_bytes = _append_event(events, {"event": "epoch", **row})
 
         improved = dev["dev_score"] > state.best_score
@@ -471,8 +443,6 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             state.best_score = dev["dev_score"]
             state.best_epoch = epoch
             state.epochs_since_improvement = 0
-            best_f = model_f.clone()
-            best_g = model_g.clone()
             _save_models(run_dir, "best", model_f, model_g)
         else:
             state.epochs_since_improvement += 1
@@ -486,4 +456,9 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         if state.iteration >= max_iters:
             break
 
-    return TrainResult(model_f=best_f, model_g=best_g, state=state, history=history)
+    if state.best_epoch >= 0:
+        model_f.load_state_dict(load_checkpoint(ck / "f_best.ckpt")[0])
+        model_g.load_state_dict(load_checkpoint(ck / "g_best.ckpt")[0])
+    lines = events.read_text(encoding="utf-8").splitlines()
+    history = [event for event in map(json.loads, lines) if event.pop("event") == "epoch"]
+    return TrainResult(model_f=model_f, model_g=model_g, state=state, history=history)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleLabel
-from .errors import EmptySequenceError
 from .seq2seq import Seq2Seq
 
 
@@ -41,9 +40,6 @@ def style_reward_batch(clf: TextClassifier, sentences: list[Sentence],
 
 def content_reward_batch(back_model: Seq2Seq, y_primes: list[Sentence],
                          xs: list[Sentence]) -> np.ndarray:
-    for s in y_primes + xs:
-        if s.ids is None or len(s.ids) == 0:
-            raise EmptySequenceError("content reward needs non-empty sentences")
     log_probs = back_model.log_prob_batch(y_primes, xs)
     lengths = np.array([len(x.ids) for x in xs], dtype=np.float64)
     return np.exp(log_probs / lengths)

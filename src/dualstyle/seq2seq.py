@@ -283,11 +283,7 @@ class Seq2Seq:
             p.value = arrays[k].copy()
 
     def clone(self) -> "Seq2Seq":
-        other = Seq2Seq.__new__(Seq2Seq)
-        other.vocab = self.vocab
-        other.embed_dim = self.embed_dim
-        other.hidden_dim = self.hidden_dim
-        other.direction = self.direction
+        other = copy.copy(self)
         other.params = {k: ad.parameter(v.value.copy()) for k, v in self.params.items()}
         return other
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,19 @@ def test_corpus_files_round_trip(tmp_path):
     refs = load_references(tmp_path, corpus.label_x.name, "dev")
     assert len(refs) == 8
     assert refs[0][0].surface == gold.refs[(corpus.label_x.name, "dev")][0][0].surface
+
+
+def test_load_corpus_rejects_a_blank_line_naming_its_place(tmp_path):
+    # dev and test files are line-aligned with their references: dropping a
+    # blank line would shift every later sentence against its reference
+    spec = SyntheticTaskSpec(train_per_style=25, dev_per_style=8, test_per_style=6, seed=11)
+    corpus, _ = generate_synthetic(spec)
+    save_corpus(corpus, tmp_path)
+    path = tmp_path / f"{corpus.label_x.name}.dev.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:3] + ["  "] + lines[3:]) + "\n", encoding="utf-8")
+    with pytest.raises(EmptyLineError, match=re.escape(f"{path}:4:")):
+        load_corpus(tmp_path, corpus.label_x.name, corpus.label_y.name)
 
 
 def test_pad_batch():

@@ -6,7 +6,7 @@ import pytest
 
 from dualstyle import autodiff as ad
 from dualstyle import dualrl
-from dualstyle.checkpoint import checkpoint_hash
+from dualstyle.checkpoint import checkpoint_hash, load_checkpoint
 from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import (
     AnnealSchedule,
@@ -24,7 +24,7 @@ from dualstyle.dualrl import (
 )
 from dualstyle.optim import AdamState, adam_step, collect_grads
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
-from dualstyle.rewards import RewardConfig
+from dualstyle.rewards import RewardConfig, combined_rewards
 from dualstyle.seq2seq import Seq2Seq
 
 from conftest import sentence
@@ -115,13 +115,11 @@ def test_equal_rewards_give_zero_gradient():
     # keep empty samples out of the draw: they are forced to reward zero,
     # which would legitimately break the all-equal premise
     model.params["out_b"].value[3] -= 8.0
-    rng = np.random.default_rng(0)
-    grads, stats = reinforce_gradient(
-        model, [source] * 4, 3, lambda samples, _: np.full(len(samples), 0.7),
-        rng, max_len=3,
-    )
-    assert stats["degenerate"] == 0
-    assert stats["taped_groups"] == 0
+    samples, _ = model.sample_batch([source] * 4, 3, np.random.default_rng(0), max_len=3)
+    assert all(s.surface for s in samples)
+    grads, groups = reinforce_gradient(model, [source] * 4, samples,
+                                       np.full(len(samples), 0.7))
+    assert groups == 0
     assert set(grads) == set(model.params)
     for g in grads.values():
         assert np.abs(g).max() < 1e-15
@@ -179,19 +177,17 @@ def test_reinforce_gradient_tapes_only_groups_with_weight():
     model.params["out_b"].value[3] -= 8.0  # no empty samples, as above
     k, batch = 2, 6
 
-    def reward_fn(samples, _):
-        # groups 0, 2 and 4 get equal rewards, so a zero advantage
-        rows = np.arange(len(samples))
-        return np.where((rows // k) % 2 == 0, 0.5, 0.2 + 0.3 * (rows % k))
+    samples, _ = model.sample_batch([source] * batch, k, np.random.default_rng(1), max_len=3)
+    assert all(s.surface for s in samples)
+    # groups 0, 2 and 4 get equal rewards, so a zero advantage
+    rows = np.arange(len(samples))
+    rewards = np.where((rows // k) % 2 == 0, 0.5, 0.2 + 0.3 * (rows % k))
 
-    grads, stats = reinforce_gradient(model, [source] * batch, k, reward_fn,
-                                      np.random.default_rng(1), max_len=3)
-    assert stats["degenerate"] == 0
-    assert stats["taped_groups"] == 3
-    assert stats["distinct_pairs"] == len({s.ids for s in stats["samples"]})
+    grads, groups = reinforce_gradient(model, [source] * batch, samples, rewards)
+    assert groups == 3
     advantage = np.array([0.0, 0.0, -0.3, 0.3] * 3)
     src_ids, src_mask = pad_batch([source.ids] * batch)
-    tgt_ids, tgt_mask = pad_batch([s.ids for s in stats["samples"]])
+    tgt_ids, tgt_mask = pad_batch([s.ids for s in samples])
     _, full = model.taped_gradients(lambda m: m._teacher_forced_nll(
         src_ids, src_mask, tgt_ids, tgt_mask, row_weights=advantage / (batch * k),
         source_repeat=k))
@@ -216,7 +212,8 @@ def test_estimator_is_unbiased(k):
     sums = {k_: np.zeros_like(exact[k_]) for k_ in names}
     sq_sums = {k_: np.zeros_like(exact[k_]) for k_ in names}
     for _ in range(n_batches):
-        grads, _ = reinforce_gradient(model, [source] * per_batch, k, fn, rng, max_len=3)
+        samples, _ = model.sample_batch([source] * per_batch, k, rng, max_len=3)
+        grads, _ = reinforce_gradient(model, [source] * per_batch, samples, fn(samples, None))
         for k_ in names:
             est = -grads[k_]  # loss gradient is minus the reward gradient
             sums[k_] += est
@@ -245,13 +242,23 @@ def test_rl_step_runs_and_reports(tiny_task, tiny_models, tiny_classifier):
     model_f, model_g = tiny_models
     policy = model_f.clone()
     cfg = TrainConfig(dual_lr=1e-3, reward=RewardConfig(sample_size=2), seed=0)
-    stats = rl_step(policy, model_g.clone(), tiny_classifier,
-                    corpus.of(corpus.label_x, "train")[:16], corpus.label_y,
+    batch = corpus.of(corpus.label_x, "train")[:16]
+    # the samples rl_step draws: the same policy and a rng with the same seed
+    samples, _ = policy.sample_batch(batch, 2, np.random.default_rng(0),
+                                     cfg.max_decode_len, cfg.temperature)
+    sources_rep = [batch[i // 2] for i in range(len(samples))]
+    _, _, r_total = combined_rewards(tiny_classifier, model_g, samples, sources_rep,
+                                     corpus.label_y, cfg.reward)
+    stats = rl_step(policy, model_g.clone(), tiny_classifier, batch, corpus.label_y,
                     cfg, AdamState(lr=cfg.dual_lr), np.random.default_rng(0))
     assert 0.0 <= stats["mean_r_style"] <= 1.0
     assert 0.0 <= stats["mean_r_content"] <= 1.0
-    assert stats["mean_r_total"] <= max(stats["mean_r_style"], 1.0)
-    assert stats["degenerate"] >= 0
+    assert stats["mean_r_total"] == float(np.mean(r_total))
+    assert stats["degenerate"] == sum(not s.surface for s in samples)
+    assert stats["distinct_pairs"] == len({(y.ids, x.ids) for y, x in zip(samples, sources_rep)
+                                           if y.surface})
+    # a group is taped unless its k rewards agree (then every advantage is 0)
+    assert stats["taped_groups"] == sum(len(set(g)) > 1 for g in r_total.reshape(-1, 2))
 
 
 def test_teacher_forcing_targets_are_authentic(tiny_task, tiny_models):
@@ -487,6 +494,31 @@ def test_resume_returns_the_best_models(tiny_task, warm_models, tiny_classifier,
                          (resumed.model_g, straight.model_g)):
         for name, p in theirs.params.items():
             assert np.array_equal(ours.params[name].value, p.value), name
+
+
+def test_train_returns_the_models_it_was_given_holding_the_best_weights(
+        tiny_task, warm_models, tiny_classifier, tmp_path):
+    corpus, gold, vocab = tiny_task
+    f, g = (m.clone() for m in warm_models)
+    res = train(f, g, tiny_classifier, corpus, mini_cfg(patience=10),
+                run_dir=tmp_path / "run", gold_refs=gold.refs)
+    assert res.model_f is f and res.model_g is g
+    assert res.state.best_epoch >= 0
+    for model, name in ((f, "f_best"), (g, "g_best")):
+        arrays, _ = load_checkpoint(tmp_path / "run" / "checkpoints" / f"{name}.ckpt")
+        assert set(arrays) == set(model.params)
+        for key, p in model.params.items():
+            assert np.array_equal(p.value, arrays[key]), (name, key)
+
+    # no iteration: the models come back untouched and the history is empty
+    f, g = (m.clone() for m in warm_models)
+    res = train(f, g, tiny_classifier, corpus, mini_cfg(max_iterations=0),
+                run_dir=tmp_path / "none", gold_refs=gold.refs)
+    assert res.model_f is f and res.model_g is g
+    assert res.history == [] and res.state.best_epoch == -1
+    for model, warm in zip((f, g), warm_models):
+        for key, p in warm.params.items():
+            assert np.array_equal(model.params[key].value, p.value), key
 
 
 @pytest.mark.parametrize("mode", ["rl_only", "mle_only"])

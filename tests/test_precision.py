@@ -64,9 +64,8 @@ def test_taped_passes_are_float32_and_masters_stay_float64(small_vocab, monkeypa
     sources = _sentences(small_vocab, 1, 6)
     opt = AdamState(lr=1e-2)
     model.mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))), opt)
-    grads, _ = reinforce_gradient(
-        model, sources, 2, lambda samples, _: np.linspace(0.0, 1.0, len(samples)),
-        np.random.default_rng(0), max_len=6)
+    samples, _ = model.sample_batch(sources, 2, np.random.default_rng(0), max_len=6)
+    grads, _ = reinforce_gradient(model, sources, samples, np.linspace(0.0, 1.0, len(samples)))
 
     assert len(tapes) == 2
     for dtypes in tapes:
