@@ -255,25 +255,37 @@ def cross_entropy(logits, targets) -> Tensor:
 
 def conv1d(x, filters, bias) -> Tensor:
     """Valid 1-D convolution over time plus a per-channel bias:
-    (B,T,E) * (w,E,C) + (C,) -> (B,T-w+1,C)."""
+    (B,T,E) * (w,E,C) + (C,) -> (B,T-w+1,C).
+
+    Lowered onto matrix products (Chellapilla et al. 2006).  The forward is
+    one (B*T, E) @ (E, w*C) GEMM against the w filter taps laid side by side;
+    output step t then sums tap j's C columns at input step t+j, plus the
+    bias.  The backward writes ``g`` into a zeroed (B, T, w*C) array, tap j's
+    block shifted forward j steps, so the filter gradient (x rows transposed
+    times it) and ``dx`` (it times the taps transposed) are one GEMM each.
+    """
     x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
-    w = filters.value.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(x.value, w, axis=1)
-    # windows: (B, T-w+1, E, w)
-    out = np.einsum("btew,wec->btc", windows, filters.value)
-    out += bias.value
+    w, emb, ch = filters.value.shape
+    t_out = x.value.shape[1] - w + 1
+    taps = filters.value.transpose(1, 0, 2).reshape(emb, w * ch)
+    per_tap = _matmul_rows(x.value, taps)  # (B, T, w*C)
+    out = per_tap[:, :t_out, :ch] + bias.value
+    for j in range(1, w):
+        out += per_tap[:, j: j + t_out, j * ch: (j + 1) * ch]
 
     def vjp(g):
-        if not filters.constant:
-            _acc(filters, np.einsum("btew,btc->wec", windows, g))
         if not bias.constant:
             _acc(bias, g.sum(axis=(0, 1)))
+        shifted = np.zeros(x.value.shape[:2] + (w * ch,), dtype=g.dtype)
+        for j in range(w):
+            shifted[:, j: j + t_out, j * ch: (j + 1) * ch] = g
+        rows = shifted.reshape(-1, w * ch)
+        if not filters.constant:
+            d_taps = x.value.reshape(-1, emb).T @ rows  # (E, w*C)
+            _acc(filters, np.ascontiguousarray(
+                d_taps.reshape(emb, w, ch).transpose(1, 0, 2)))
         if not x.constant:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            t_out = g.shape[1]
-            for j in range(w):
-                x.grad[:, j: j + t_out, :] += g @ filters.value[j].T
+            _acc(x, (rows @ taps.T).reshape(x.value.shape))
 
     return _record(out, (x, filters, bias), vjp)
 
@@ -282,7 +294,9 @@ def max_over_time(x, valid_mask) -> Tensor:
     """Max pooling over axis 1 restricted to valid positions.
 
     valid_mask is a constant (B, T) 0/1 array with at least one valid
-    position per row.
+    position per row.  No GEMM is needed: the backward routes each (row,
+    channel) gradient to its one argmax step with a plain indexed ``+=``,
+    which is exact because no (row, step, channel) index repeats.
     """
     x = _as_tensor(x)
     valid = np.asarray(valid_mask, dtype=bool)
@@ -297,7 +311,7 @@ def max_over_time(x, valid_mask) -> Tensor:
             x.grad = np.zeros_like(x.value)
         b_idx = np.arange(x.value.shape[0])[:, None]
         c_idx = np.arange(x.value.shape[2])[None, :]
-        np.add.at(x.grad, (b_idx, arg, c_idx), g)
+        x.grad[b_idx, arg, c_idx] += g
 
     return _record(out, (x,), vjp)
 

@@ -35,9 +35,9 @@ from .corpus import (
     generate_synthetic,
     load_corpus,
     load_references,
+    read_sentences,
     save_corpus,
     save_references,
-    tokenize,
 )
 from .dualrl import AnnealSchedule, TrainConfig, train
 from .errors import DualStyleError
@@ -278,6 +278,7 @@ def cmd_pretrain(cfg: dict) -> dict:
 
 def cmd_train(cfg: dict, resume: bool = False) -> dict:
     corpus = _load_task(cfg)
+    gold_refs = _load_gold_refs(cfg, corpus)
     run_dir = Path(cfg["run_dir"])
     if resume:
         check_resume_config(cfg, run_dir)
@@ -289,7 +290,6 @@ def cmd_train(cfg: dict, resume: bool = False) -> dict:
     clf.freeze()
     model_f = Seq2Seq.load(ck / "f_pre.ckpt", vocab)
     model_g = Seq2Seq.load(ck / "g_pre.ckpt", vocab)
-    gold_refs = _load_gold_refs(cfg, corpus)
     tc = train_config(cfg)
     result = train(model_f, model_g, clf, num, tc, run_dir=run_dir,
                    gold_refs=gold_refs, resume=resume)
@@ -319,12 +319,11 @@ def cmd_transfer(cfg: dict, direction: str, in_path, out_path,
     vocab = load_vocab(run_dir)
     tag = "f" if direction == "x2y" else "g"
     model = Seq2Seq.load(run_dir / "checkpoints" / f"{tag}_{checkpoint}.ckpt", vocab)
-    lines = Path(in_path).read_text(encoding="utf-8").splitlines()
-    sentences = [vocab.to_ids(tokenize(ln)) for ln in lines]
+    sentences = [vocab.to_ids(s) for s in read_sentences(in_path)]
     outputs = model.greedy_decode_batch(sentences, max_len=cfg["max_decode_len"])
     Path(out_path).write_text(
         "".join(o.text() + "\n" for o in outputs), encoding="utf-8")
-    _log(event="transfer", direction=direction, lines=len(lines), out=out_path)
+    _log(event="transfer", direction=direction, lines=len(sentences), out=out_path)
     return {"outputs": outputs}
 
 

@@ -67,6 +67,20 @@ def tokenize(raw_line: str) -> Sentence:
     return Sentence(surface=tuple(tokens))
 
 
+def read_sentences(path) -> list[Sentence]:
+    """One sentence per line of a file; a blank line is rejected by its place.
+
+    Corpus, reference and input files are line-aligned with one another, so
+    a blank line is an error, never a sentence to drop.
+    """
+    sentences = []
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            raise EmptyLineError(f"{path}:{number}: blank line")
+        sentences.append(tokenize(line))
+    return sentences
+
+
 class Vocabulary:
     """Bijection between non-reserved tokens and ids; ids 0..3 are reserved."""
 
@@ -161,11 +175,7 @@ def load_corpus(data_dir, style_x: str, style_y: str) -> StyleCorpus:
                 if split == "train":
                     raise FileNotFoundError(f"missing corpus file {path}")
                 continue
-            lines = path.read_text(encoding="utf-8").splitlines()
-            for number, line in enumerate(lines, 1):
-                if not line.strip():
-                    raise EmptyLineError(f"{path}:{number}: blank line")
-            data[(style, split)] = [tokenize(ln) for ln in lines]
+            data[(style, split)] = read_sentences(path)
     return StyleCorpus(StyleLabel(0, style_x), StyleLabel(1, style_y), data)
 
 
@@ -192,10 +202,7 @@ def load_references(data_dir, style: str, split: str) -> list[list[Sentence]]:
         k += 1
     if not ref_files:
         return []
-    columns = []
-    for path in ref_files:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        columns.append([tokenize(ln) for ln in lines])
+    columns = [read_sentences(path) for path in ref_files]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise InvalidSpecError("reference files are not line-aligned")

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import predicted_class
-from .corpus import Sentence, StyleLabel, ngrams, tokenize
+from .corpus import Sentence, StyleLabel, ngrams, read_sentences, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
 MAX_ORDER = 4
@@ -202,8 +202,8 @@ def evaluate(outputs_path, reference_paths, clf, target: StyleLabel,
              report_dir=None, inputs_path=None) -> EvalReport:
     """Score a file of transferred sentences against line-aligned references.
 
-    A blank line in the outputs file is an empty output; blank reference and
-    input lines are rejected.
+    A blank line in the outputs file is an empty output; a blank reference or
+    input line is rejected with its ``path:line``.
     """
     out_lines = Path(outputs_path).read_text(encoding="utf-8").splitlines()
     outputs = [tokenize(ln) if ln.strip() else Sentence(surface=()) for ln in out_lines]
@@ -211,19 +211,18 @@ def evaluate(outputs_path, reference_paths, clf, target: StyleLabel,
         raise MissingReferenceError("no reference files given")
     columns = []
     for path in reference_paths:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if len(lines) != len(outputs):
+        column = read_sentences(path)
+        if len(column) != len(outputs):
             raise LengthMismatchError(
-                f"{path} has {len(lines)} lines, outputs have {len(outputs)}"
+                f"{path} has {len(column)} lines, outputs have {len(outputs)}"
             )
-        columns.append([tokenize(ln) for ln in lines])
+        columns.append(column)
     references = [[col[i] for col in columns] for i in range(len(outputs))]
     inputs = None
     if inputs_path is not None:
-        in_lines = Path(inputs_path).read_text(encoding="utf-8").splitlines()
-        if len(in_lines) != len(outputs):
+        inputs = read_sentences(inputs_path)
+        if len(inputs) != len(outputs):
             raise LengthMismatchError("inputs file is not line-aligned with outputs")
-        inputs = [tokenize(ln) for ln in in_lines]
     report = evaluate_sentences(outputs, references, clf, target, inputs)
     if report_dir is not None:
         write_report(report, report_dir)

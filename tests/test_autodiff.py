@@ -184,3 +184,61 @@ def test_inference_mode_records_nothing():
     x = ad.parameter(np.ones((2, 2)))
     y = square_sum(x)  # no tape active
     assert y.vjp is None and y.parents == ()
+
+
+# ---------------------------------------------------------------------------
+# conv1d against a plain loop over windows
+# ---------------------------------------------------------------------------
+
+def _conv1d_by_windows(x, filters, bias, g):
+    """Values of conv1d and the gradients of sum(out * g), one window at a time."""
+    w = filters.shape[0]
+    batch, steps, _ = x.shape
+    out = np.empty((batch, steps - w + 1, filters.shape[2]))
+    dx, dfilt = np.zeros_like(x), np.zeros_like(filters)
+    for b in range(batch):
+        for t in range(steps - w + 1):
+            window = x[b, t: t + w]  # (w, E)
+            out[b, t] = (window[:, :, None] * filters).sum(axis=(0, 1)) + bias
+            dx[b, t: t + w] += (filters * g[b, t]).sum(axis=2)
+            dfilt += window[:, :, None] * g[b, t]
+    return out, dx, dfilt, g.sum(axis=(0, 1))
+
+
+def _conv1d_grads(x, filters, bias, g):
+    params = [ad.parameter(a) for a in (x, filters, bias)]
+    with ad.Tape() as tape:
+        out = ad.conv1d(*params)
+        loss = ad.masked_sum(out, g)
+    ad.backward(tape, loss)
+    return (out.value,) + tuple(p.grad for p in params)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("batch,extra_steps", [(1, 0), (3, 0), (1, 4), (3, 4)])
+def test_conv1d_matches_a_loop_over_windows(w, batch, extra_steps):
+    rng = np.random.default_rng(10 * w + batch + extra_steps)
+    x = rng.normal(0, 1, (batch, w + extra_steps, 5))
+    filters = rng.normal(0, 1, (w, 5, 4))
+    bias = rng.normal(0, 1, (4,))
+    g = rng.normal(0, 1, (batch, extra_steps + 1, 4))
+    got = _conv1d_grads(x, filters, bias, g)
+    want = _conv1d_by_windows(x, filters, bias, g)
+    for name, a, b in zip(("out", "dx", "dfilters", "dbias"), got, want):
+        assert a.dtype == np.float64 and a.shape == b.shape, name
+        assert np.abs(a - b).max() < 1e-12, name
+    # the einsum formula conv1d used before it ran on matrix products
+    windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=1)
+    assert np.abs(got[0] - (np.einsum("btew,wec->btc", windows, filters) + bias)).max() < 1e-12
+    assert np.abs(got[2] - np.einsum("btew,btc->wec", windows, g)).max() < 1e-12
+
+
+def test_conv1d_keeps_float32():
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(0, 1, shape) for shape in ((2, 6, 5), (3, 5, 4), (4,), (2, 4, 4))]
+    got = _conv1d_grads(*(a.astype(np.float32) for a in arrays))
+    want = _conv1d_by_windows(*arrays)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32
+        assert np.abs(a - b).max() < 1e-5
+

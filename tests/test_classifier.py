@@ -14,6 +14,7 @@ from dualstyle.corpus import (
     lexicon_oracle_label,
 )
 from dualstyle.errors import EmptySequenceError
+from dualstyle.optim import AdamState
 
 from conftest import sentence
 
@@ -143,7 +144,6 @@ def test_no_dev_split_reports_nan_accuracy(tiny_task, capsys):
 
 def test_frozen_classifier_rejects_training(tiny_task, tiny_classifier):
     corpus, _, vocab = tiny_task
-    from dualstyle.optim import AdamState
     with pytest.raises(RuntimeError):
         tiny_classifier.train_batch([corpus.of(corpus.label_x, "dev")[0]],
                                     np.array([0]), AdamState())
@@ -156,3 +156,70 @@ def test_classifier_checkpoint_round_trip(tiny_task, tiny_classifier, tmp_path):
     assert loaded.frozen
     for k in tiny_classifier.params:
         assert np.array_equal(loaded.params[k].value, tiny_classifier.params[k].value)
+
+
+def _reference_forward_backward(params, widths, ids, lengths, labels):
+    """The classifier in plain numpy with einsum convolutions: the class
+    probabilities and the gradients of the mean cross-entropy."""
+    arrays = {k: p.value for k, p in params.items()}
+    emb = arrays["embed"][ids]
+    batch = len(ids)
+    feats, saved = [], []
+    for w in widths:
+        windows = np.lib.stride_tricks.sliding_window_view(emb, w, axis=1)
+        conv = np.maximum(np.einsum("btew,wec->btc", windows, arrays[f"conv{w}_w"])
+                          + arrays[f"conv{w}_b"], 0.0)
+        valid = np.arange(conv.shape[1])[None, :] <= (lengths[:, None] - w)
+        arg = np.where(valid[:, :, None], conv, -np.inf).argmax(axis=1)
+        feats.append(np.take_along_axis(conv, arg[:, None, :], axis=1)[:, 0])
+        saved.append((w, windows, conv, arg))
+    features = np.concatenate(feats, axis=1)
+    logits = features @ arrays["lin_w"] + arrays["lin_b"]
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    dlogits = probs.copy()
+    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits /= batch
+    grads = {"lin_w": features.T @ dlogits, "lin_b": dlogits.sum(axis=0)}
+    dfeatures = dlogits @ arrays["lin_w"].T
+    demb = np.zeros_like(emb)
+    channels = arrays["conv1_b"].size
+    for k, (w, windows, conv, arg) in enumerate(saved):
+        dconv = np.zeros_like(conv)
+        np.put_along_axis(dconv, arg[:, None, :],
+                          dfeatures[:, None, k * channels: (k + 1) * channels], axis=1)
+        dconv *= conv > 0
+        grads[f"conv{w}_w"] = np.einsum("btew,btc->wec", windows, dconv)
+        grads[f"conv{w}_b"] = dconv.sum(axis=(0, 1))
+        for j in range(w):
+            demb[:, j: j + conv.shape[1]] += dconv @ arrays[f"conv{w}_w"][j].T
+    grads["embed"] = np.zeros_like(arrays["embed"])
+    np.add.at(grads["embed"], ids, demb)
+    return probs, grads
+
+
+def test_classifier_matches_an_einsum_reference_on_a_ragged_batch(small_vocab, monkeypatch):
+    cfg = ClassifierConfig(embed_dim=6, channels=5, grad_clip=1e9, seed=4)
+    clf = TextClassifier(small_vocab, cfg)
+    rng = np.random.default_rng(2)
+    for p in clf.params.values():
+        p.value = rng.normal(0, 0.5, p.value.shape)
+    # the one-token sentence is padded to the widest filter (3)
+    sents = [sentence(small_vocab, *toks.split()) for toks in
+             ("a b c d e", "c", "e d", "b b a c", "d a e c b a")]
+    labels = np.array([0, 1, 1, 0, 1])
+    ids, lengths = clf._prepare(sents)
+    assert ids.shape == (5, 6) and lengths[1] == 3
+    probs, want = _reference_forward_backward(clf.params, cfg.widths, ids, lengths, labels)
+
+    assert np.abs(clf.classify_prob_batch(sents) - probs).max() < 1e-12
+    assert np.array_equal(clf.predict(sents), np.where(probs[:, 1] > probs[:, 0], 1, 0))
+
+    seen = {}
+    monkeypatch.setattr("dualstyle.classifier.adam_step",
+                        lambda params, grads, opt: seen.update(grads))
+    clf.train_batch(sents, labels, AdamState(lr=cfg.lr))
+    assert sorted(seen) == sorted(want)
+    for name, g in want.items():
+        assert np.abs(seen[name] - g).max() < 1e-12, name

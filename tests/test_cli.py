@@ -165,3 +165,61 @@ def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):
     events = [json.loads(line) for line in (sub / "events.jsonl").read_text().splitlines()]
     assert any(e["event"] == "epoch" for e in events)
     assert json.loads((sub / "config.json").read_text())["ablation"] == "mle_only"
+
+
+def _blank_third_line(src: Path, dst: Path) -> Path:
+    lines = src.read_text().splitlines()
+    dst.write_text("\n".join(lines[:2] + [" "] + lines[3:]) + "\n")
+    return dst
+
+
+def _toy_data(tmp_path):
+    """``synth`` at toy size; returns ``run(command)`` on the same config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train_per_style": 10, "dev_per_style": 5, "test_per_style": 5,
+                                "data_dir": str(tmp_path / "data"),
+                                "run_dir": str(tmp_path / "run")}))
+
+    def run(command):
+        return cli.main(command + ["--config", str(path)])
+
+    assert run(["synth"]) == 0
+    return run
+
+
+def test_a_blank_corpus_line_is_named_by_place(tmp_path, capsys):
+    run = _toy_data(tmp_path)
+    path = tmp_path / "data" / f"{cli.DEFAULTS['style_x']}.train.txt"
+    _blank_third_line(path, path)
+    assert run(["pretrain-classifier"]) == 1
+    assert f"detail={path}:3: blank line" in capsys.readouterr().err
+
+
+def test_a_blank_reference_line_is_named_by_place(tmp_path, capsys):
+    run = _toy_data(tmp_path)
+    path = tmp_path / "data" / f"{cli.DEFAULTS['style_y']}.test.ref0.txt"
+    _blank_third_line(path, path)
+    assert run(["train"]) == 1
+    assert f"detail={path}:3: blank line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["--refs", "--inputs"])
+def test_a_blank_evaluate_line_is_named_by_place(eos_first_run, column, tmp_path, capsys):
+    run = eos_first_run
+    path = _blank_third_line(run["ref_path"], tmp_path / "blank.txt")
+    args = _evaluate_args(run, run["ref_path"], "positive")
+    if column == "--refs":
+        args[args.index("--refs") + 1] = str(path)
+    else:
+        args += ["--inputs", str(path)]
+    assert cli.main(args) == 1
+    assert f"detail={path}:3: blank line" in capsys.readouterr().err
+
+
+def test_a_blank_transfer_input_line_is_named_by_place(eos_first_run, tmp_path, capsys):
+    run = eos_first_run
+    path = _blank_third_line(run["in_path"], tmp_path / "blank.txt")
+    assert cli.main(["transfer", "--run-dir", str(run["run_dir"]), "--direction", "x2y",
+                     "--in", str(path), "--out", str(tmp_path / "out.txt")]) == 1
+    assert f"detail={path}:3: blank line" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()

@@ -60,3 +60,27 @@ def test_every_autodiff_function_has_a_caller_in_the_package():
     test_references = {"combine", "from_ids", "apply_gold", "lexicon_oracle_label",
                        "checkpoint_hash", "grad_check"}
     assert sorted(public - read - test_references) == []
+
+
+def _slow_numpy_calls(tree: ast.Module) -> list[str]:
+    """Calls of ``einsum`` or of a ufunc's ``.at`` (``np.add.at``), by line.
+
+    Both bypass BLAS or whole-array loops: an einsum contraction runs
+    without a GEMM here, and ``ufunc.at`` adds one element at a time.
+    """
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "einsum" or (name == "at" and isinstance(func.value, ast.Attribute)):
+            hits.append(f"{node.lineno}: {ast.unparse(func)}")
+    return hits
+
+
+def test_autodiff_kernels_use_no_einsum_or_ufunc_at():
+    path = ROOT / "src" / "dualstyle" / "autodiff.py"
+    assert _slow_numpy_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _slow_numpy_calls(ast.parse("np.add.at(a, i, g)\nnp.einsum('ij->j', a)")) == [
+        "1: np.add.at", "2: np.einsum"]
