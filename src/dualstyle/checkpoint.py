@@ -21,7 +21,7 @@ MAGIC = b"DUALSTYLE-CKPT\n"
 VERSION = 1
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     entries = []
     blobs = []
     for name in sorted(arrays):
@@ -34,7 +34,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
         blobs.append(arr.tobytes())
     header = {
         "version": VERSION,
-        "meta": meta or {},
+        "meta": meta,
         "params": entries,
     }
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"

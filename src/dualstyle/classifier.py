@@ -38,8 +38,8 @@ def predicted_class(probs: np.ndarray) -> np.ndarray:
 class TextClassifier:
     """Parallel convolutions over token embeddings, max-pooled, to 2 logits."""
 
-    def __init__(self, vocab: Vocabulary, cfg: ClassifierConfig | None = None):
-        self.cfg = cfg or ClassifierConfig()
+    def __init__(self, vocab: Vocabulary, cfg: ClassifierConfig):
+        self.cfg = cfg
         self.vocab = vocab
         self.frozen = False
         rng = np.random.default_rng(self.cfg.seed)
@@ -59,7 +59,7 @@ class TextClassifier:
         min_len = max(self.cfg.widths)
         rows = []
         for s in sentences:
-            ids = [i for i in (s.ids or ()) if i != EOS]
+            ids = [i for i in s.ids if i != EOS]
             if not ids:
                 raise EmptySequenceError("cannot classify an empty sentence")
             rows.append(ids)
@@ -136,29 +136,25 @@ class TextClassifier:
                                widths=tuple(meta["widths"]))
         clf = cls(vocab, cfg)
         clf.load_state_dict(arrays)
-        clf.frozen = bool(meta.get("frozen", False))
+        clf.frozen = meta["frozen"]
         return clf
 
 
 def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
-                     cfg: ClassifierConfig | None = None) -> tuple[TextClassifier, float]:
-    """Cross-entropy training on (sentence, style) pairs.
+                     cfg: ClassifierConfig) -> tuple[TextClassifier, float]:
+    """Cross-entropy training on the (sentence, style) pairs of a
+    numericalized corpus.
 
     Returns the best-dev-accuracy snapshot, already frozen, plus that
     accuracy.  With no dev split it returns the final epoch and an accuracy
     of ``nan``, since there is nothing to measure it on.
     """
-    cfg = cfg or ClassifierConfig()
     clf = TextClassifier(vocab, cfg)
     opt = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed + 1)
 
-    train_items = [(vocab.to_ids(s) if s.ids is None else s, lab.index)
-                   for lab in corpus.labels()
-                   for s in corpus.of(lab, "train")]
-    dev_items = [(vocab.to_ids(s) if s.ids is None else s, lab.index)
-                 for lab in corpus.labels()
-                 for s in corpus.of(lab, "dev")]
+    train_items = [(s, lab.index) for lab in corpus.labels() for s in corpus.of(lab, "train")]
+    dev_items = [(s, lab.index) for lab in corpus.labels() for s in corpus.of(lab, "dev")]
 
     best_acc, best_state = -1.0, None
     for _ in range(cfg.epochs):

@@ -224,13 +224,8 @@ def cmd_synth(cfg: dict) -> dict:
     return {"corpus": corpus, "gold": gold}
 
 
-def _load_task(cfg: dict):
-    corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
-    return corpus
-
-
 def cmd_pretrain_classifier(cfg: dict) -> dict:
-    corpus = _load_task(cfg)
+    corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)
     vocab = get_vocab(cfg, run_dir, corpus)
@@ -254,7 +249,7 @@ def _build_models(cfg: dict, vocab: Vocabulary) -> tuple[Seq2Seq, Seq2Seq]:
 
 
 def cmd_pretrain(cfg: dict) -> dict:
-    corpus = _load_task(cfg)
+    corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)
     vocab = get_vocab(cfg, run_dir, corpus)
@@ -277,7 +272,7 @@ def cmd_pretrain(cfg: dict) -> dict:
 
 
 def cmd_train(cfg: dict, resume: bool = False) -> dict:
-    corpus = _load_task(cfg)
+    corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     gold_refs = _load_gold_refs(cfg, corpus)
     run_dir = Path(cfg["run_dir"])
     if resume:

@@ -45,9 +45,6 @@ class Sentence:
     surface: tuple[str, ...]
     ids: tuple[int, ...] | None = None
 
-    def __len__(self) -> int:
-        return len(self.surface)
-
     def text(self) -> str:
         return " ".join(self.surface)
 

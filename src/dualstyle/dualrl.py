@@ -4,7 +4,9 @@ updates on the two mapping models, and annealed pseudo teacher forcing.
 Each iteration trains the x->y model on a style-x batch (sampled transfers
 scored by the frozen classifier and by the opposite model's reconstruction
 probability), optionally consolidates it with one MLE step on back-translated
-pairs, then does the mirrored pair of updates for the y->x model.  A
+pairs, then does the mirrored pair of updates for the y->x model.  Both
+directions share one teacher-forcing trigger: the annealed schedule is asked
+once per iteration, and its answer holds for both MLE steps.  A
 policy-gradient step is three plain calls: ``sample_batch``, then
 ``combined_rewards``, then ``reinforce_gradient`` on the samples and rewards.
 
@@ -30,6 +32,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
+from .errors import InvalidSpecError
 from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm
 from .pseudo import PseudoPair, back_translate_batch
@@ -94,24 +97,23 @@ class TrainConfig:
 class TrainState:
     iteration: int = 0
     epoch: int = 0
-    interval: float = 1.0
-    last_trigger: dict = field(default_factory=dict)
+    last_trigger: int | None = None
     degenerate_count: int = 0
     best_score: float = -math.inf
     best_epoch: int = -1
-    epochs_since_improvement: int = 0
     events_bytes: int = 0
 
 
-def should_teacher_force(state: TrainState, direction: str) -> bool:
-    """Spacing rule: trigger once the gap since the last trigger reaches p.
+def should_teacher_force(state: TrainState, interval: float) -> bool:
+    """Spacing rule: trigger once the gap since the last trigger reaches
+    the interval p.
 
     Well-defined for fractional p and equal to the modulo rule for integer p
-    starting from p0 = 1.  Updates the trigger bookkeeping when firing.
+    starting from p0 = 1.  Records the iteration as the last trigger when
+    firing.
     """
-    last = state.last_trigger.get(direction)
-    if last is None or state.iteration - last >= state.interval:
-        state.last_trigger[direction] = state.iteration
+    if state.last_trigger is None or state.iteration - state.last_trigger >= interval:
+        state.last_trigger = state.iteration
         return True
     return False
 
@@ -249,7 +251,7 @@ def pretrain(model_f: Seq2Seq, model_g: Seq2Seq,
 
 def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                  corpus: StyleCorpus, cfg: TrainConfig,
-                 gold_refs: dict | None = None, split: str = "dev") -> dict:
+                 gold_refs: dict | None = None) -> dict:
     """Development score: harmonic mean of style accuracy and the
     references-free BLEU of outputs against their own inputs, averaged over
     the two directions.  Gold-reference numbers ride along when available."""
@@ -258,14 +260,14 @@ def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         ("x2y", model_f, corpus.label_x, corpus.label_y),
         ("y2x", model_g, corpus.label_y, corpus.label_x),
     ):
-        inputs = corpus.of(src_label, split)
+        inputs = corpus.of(src_label, "dev")
         outputs = model.greedy_decode_batch(inputs, max_len=cfg.max_decode_len)
         candidates = [o.surface for o in outputs]
         acc, _ = style_accuracy(outputs, clf, tgt_label)
         bleu_self = corpus_bleu(candidates, [[inp.surface] for inp in inputs])
         metrics = {"acc": acc, "bleu_self": bleu_self,
                    "score": g2h2(acc, bleu_self)[1]}
-        refs = (gold_refs or {}).get((src_label.name, split))
+        refs = (gold_refs or {}).get((src_label.name, "dev"))
         if refs is not None:
             bleu_gold = corpus_bleu(candidates, [[r.surface for r in rr] for rr in refs])
             metrics["bleu_gold"] = bleu_gold
@@ -349,15 +351,21 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
     Per iteration: policy-gradient update for the x->y model on a style-x
     batch, conditional teacher forcing for it on back-translated style-y
-    sentences, then the mirrored updates for the y->x model.  Dev score is
-    evaluated once per epoch; training stops at the iteration/epoch budget or
-    once the score has not improved for ``patience`` epochs, whichever comes
-    first.  The models passed in come back holding the best weights, read
-    from ``f_best.ckpt``/``g_best.ckpt``, or as trained if no epoch ran.  The
-    history is the epoch lines of ``events.jsonl`` without their ``"event"``.
+    sentences, then the mirrored updates for the y->x model; one trigger
+    decides both teacher-forcing steps.  Dev score is evaluated once per
+    epoch, so both styles need dev sentences; training stops at the
+    iteration/epoch budget or once the score has not improved for
+    ``patience`` epochs, whichever comes first.  The models passed in come
+    back holding the best weights, read from ``f_best.ckpt``/``g_best.ckpt``,
+    or as trained if no epoch ran.  The history is the epoch lines of
+    ``events.jsonl`` without their ``"event"``.
     """
     if not clf.frozen:
         raise RuntimeError("classifier must be frozen before dual training")
+    no_dev = [label.name for label in corpus.labels() if not corpus.of(label, "dev")]
+    if no_dev:
+        raise InvalidSpecError(f"no dev sentences for style {', '.join(no_dev)}: "
+                               "dual training selects its models on the dev split")
     train_x = corpus.of(corpus.label_x, "train")
     train_y = corpus.of(corpus.label_y, "train")
     iters_per_epoch = max(1, math.ceil(len(train_x) / cfg.dual_batch))
@@ -405,20 +413,20 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         for it in range(iters_per_epoch):
             if state.iteration >= max_iters:
                 break
-            state.interval = anneal_interval(state.iteration, cfg.schedule)
-            stats_f = stats_g = None
+            forced = mle_on and should_teacher_force(
+                state, anneal_interval(state.iteration, cfg.schedule))
 
             if rl_on:
                 f_snap = model_f.clone()
                 stats_f = rl_step(model_f, model_g, clf, rl_x[it % len(rl_x)],
                                   corpus.label_y, cfg, opt_f, rng)
-            if mle_on and should_teacher_force(state, "x2y"):
+            if forced:
                 teacher_forcing_step(model_f, model_g, tf_y[it % len(tf_y)], opt_f, cfg)
 
             if rl_on:
                 stats_g = rl_step(model_g, f_snap, clf, rl_y[it % len(rl_y)],
                                   corpus.label_x, cfg, opt_g, rng)
-            if mle_on and should_teacher_force(state, "y2x"):
+            if forced:
                 teacher_forcing_step(model_g, model_f, tf_x[it % len(tf_x)], opt_g, cfg)
 
             if rl_on:
@@ -438,22 +446,16 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         row = _history_row(state, reward_sums, n_rl, dev)
         state.events_bytes = _append_event(events, {"event": "epoch", **row})
 
-        improved = dev["dev_score"] > state.best_score
-        if improved:
+        if dev["dev_score"] > state.best_score:
             state.best_score = dev["dev_score"]
             state.best_epoch = epoch
-            state.epochs_since_improvement = 0
             _save_models(run_dir, "best", model_f, model_g)
-        else:
-            state.epochs_since_improvement += 1
         state.epoch = epoch + 1
         _save_models(run_dir, "last", model_f, model_g)
         save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
         save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
         save_train_state(run_dir, state)
-        if state.epochs_since_improvement >= cfg.patience:
-            break
-        if state.iteration >= max_iters:
+        if epoch - state.best_epoch >= cfg.patience:
             break
 
     if state.best_epoch >= 0:

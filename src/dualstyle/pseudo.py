@@ -87,8 +87,7 @@ def _slot_contexts(sentences: list[Sentence],
     for sent in sentences:
         toks = sent.surface
         for n in range(1, max_n + 1):
-            for i in range(len(toks) - n + 1):
-                gram = tuple(toks[i: i + n])
+            for i, gram in enumerate(ngrams(toks, n)):
                 if gram in ctx:
                     prev = toks[i - 1] if i > 0 else _LEFT_EDGE
                     nxt = toks[i + n] if i + n < len(toks) else _RIGHT_EDGE
@@ -167,6 +166,7 @@ def make_pretrain_pairs(corpus: StyleCorpus, lex: StyleLexicon,
                         ) -> tuple[list[PseudoPair], list[PseudoPair]]:
     """Template pairs for both directions; marker-free sentences become identity pairs.
 
+    ``corpus`` is numericalized, and its sentences are the pairs' sources.
     The first list trains the x->y model (sources from the x corpus), the
     second the y->x model.
     """
@@ -178,9 +178,8 @@ def make_pretrain_pairs(corpus: StyleCorpus, lex: StyleLexicon,
     ):
         for sent in corpus.of(label, split):
             transferred, applied = template_transfer(sent, lex, opposite)
-            src = vocab.to_ids(sent) if sent.ids is None else sent
-            tgt = vocab.to_ids(transferred) if applied else src
-            sink.append(PseudoPair(src, tgt))
+            tgt = vocab.to_ids(transferred) if applied else sent
+            sink.append(PseudoPair(sent, tgt))
     return pairs_f, pairs_g
 
 

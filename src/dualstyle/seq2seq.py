@@ -303,7 +303,7 @@ class Seq2Seq:
         if meta.get("vocab_hash") != vocab.content_hash():
             raise ValueError("checkpoint was built with a different vocabulary")
         model = cls(vocab, embed_dim=meta["embed_dim"], hidden_dim=meta["hidden_dim"],
-                    direction=meta.get("direction", "x2y"), seed=0)
+                    direction=meta["direction"], seed=0)
         model.load_state_dict(arrays)
         return model
 

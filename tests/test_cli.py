@@ -102,8 +102,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert cli.resolve_config(path)["seed"] == 3
 
 
-def _trained_run(tmp_path):
-    """Run the pipeline through ``train`` at toy size under ``tmp_path/run``;
+def _trained_run(tmp_path, commands=("synth", "pretrain-classifier", "pretrain", "train")):
+    """Run the pipeline's ``commands`` at toy size under ``tmp_path/run``;
     returns ``run(command, **changes)``, which runs one more CLI command."""
     cfg = {"train_per_style": 40, "dev_per_style": 10, "test_per_style": 10,
            "embed_dim": 8, "hidden_dim": 8, "cls_embed_dim": 8, "cls_channels": 4,
@@ -116,7 +116,7 @@ def _trained_run(tmp_path):
         path.write_text(json.dumps({**cfg, **changes}))
         return cli.main(command + ["--config", str(path)])
 
-    for command in ("synth", "pretrain-classifier", "pretrain", "train"):
+    for command in commands:
         assert run([command]) == 0
     return run
 
@@ -153,6 +153,21 @@ def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch)
     assert sorted(p.name for p in run_dir.iterdir() if p.is_file()) == [
         "config.json", "events.jsonl", "vocab.txt"]
     assert run(["train", "--resume"], max_dual_epochs=2, max_iterations=2) == 0
+
+
+@pytest.mark.parametrize("styles", [("positive",), ("negative", "positive")])
+def test_train_without_a_dev_split_names_the_style_and_writes_no_events(
+        tmp_path, capsys, styles):
+    run = _trained_run(tmp_path, commands=("synth",))
+    for style in styles:
+        (tmp_path / "data" / f"{style}.dev.txt").unlink()
+    assert run(["pretrain-classifier"]) == 0
+    assert run(["pretrain"]) == 0
+    capsys.readouterr()
+    assert run(["train"]) == 1
+    err = capsys.readouterr().err
+    assert f"error=InvalidSpecError detail=no dev sentences for style {', '.join(styles)}:" in err
+    assert not (tmp_path / "run" / "events.jsonl").exists()
 
 
 def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):

@@ -66,44 +66,31 @@ def test_schedule_validation():
 
 def test_trigger_every_iteration_at_unit_interval():
     state = TrainState()
-    state.interval = 1.0
     fired = []
     for i in range(5):
         state.iteration = i
-        fired.append(should_teacher_force(state, "x2y"))
+        fired.append(should_teacher_force(state, 1.0))
     assert fired == [True] * 5
 
 
 def test_trigger_spacing_fractional():
     state = TrainState()
-    state.interval = 2.5
     fired = []
     for i in range(10):
         state.iteration = i
-        if should_teacher_force(state, "x2y"):
+        if should_teacher_force(state, 2.5):
             fired.append(i)
     assert fired == [0, 3, 6, 9]
 
 
 def test_trigger_spacing_at_cap():
     state = TrainState()
-    state.interval = 100.0
     fired = []
     for i in range(250):
         state.iteration = i
-        if should_teacher_force(state, "x2y"):
+        if should_teacher_force(state, 100.0):
             fired.append(i)
     assert fired == [0, 100, 200]
-
-
-def test_directions_have_independent_triggers():
-    state = TrainState()
-    state.interval = 2.0
-    state.iteration = 0
-    assert should_teacher_force(state, "x2y")
-    state.iteration = 1
-    assert should_teacher_force(state, "y2x")  # first call for this direction
-    assert not should_teacher_force(state, "x2y")
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +521,40 @@ def test_ablation_modes_run(tiny_task, warm_models, tiny_classifier, mode, tmp_p
         assert row["mean_r_style"] is None
     else:
         assert row["mean_r_style"] is not None
+
+
+@pytest.mark.parametrize("ablation", ["rl_plus_mle", "rl_only"])
+def test_both_directions_share_the_annealed_teacher_forcing_trigger(
+        tiny_task, warm_models, tiny_classifier, ablation, tmp_path, monkeypatch):
+    corpus, gold, vocab = tiny_task
+    # intervals 1, 1.32, 1.74, 2.30, then the cap 3: triggers spaced 2, 3, 3
+    schedule = AnnealSchedule(p0=1.0, p_max=3.0, rate=2.0, gap=2.5)
+    cfg = mini_cfg(max_dual_epochs=2, patience=10, schedule=schedule, ablation=ablation)
+    events = tmp_path / "run" / "events.jsonl"
+    forced = []
+
+    def recording_teacher_forcing_step(model, *args):
+        # iteration i's event is written after both of its updates
+        lines = events.read_text().splitlines()
+        iteration = sum(json.loads(line)["event"] == "iteration" for line in lines)
+        forced.append((iteration, model.direction))
+        return teacher_forcing_step(model, *args)
+
+    monkeypatch.setattr(dualrl, "teacher_forcing_step", recording_teacher_forcing_step)
+    res = train(*(m.clone() for m in warm_models), tiny_classifier, corpus, cfg,
+                run_dir=tmp_path / "run", gold_refs=gold.refs)
+    assert res.state.iteration == 10
+    if ablation == "rl_only":
+        assert forced == []
+        return
+    expected, last = [], None
+    for i in range(res.state.iteration):
+        if last is None or i - last >= anneal_interval(i, schedule):
+            expected.append(i)
+            last = i
+    assert expected == [0, 2, 5, 8]
+    assert forced == [(i, d) for i in expected for d in ("x2y", "y2x")]
+    assert res.state.last_trigger == 8
 
 
 def test_train_requires_frozen_classifier(tiny_task, warm_models, tmp_path):

@@ -1,14 +1,33 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
-
-import dualstyle
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_exported_name_resolves():
-    for name in dualstyle.__all__:
-        assert getattr(dualstyle, name) is not None, name
+def test_importing_the_package_loads_nothing_and_the_cli_pins_blas_threads():
+    # numpy fixes its BLAS thread count when it loads, so ``import dualstyle``
+    # must load nothing before ``dualstyle.cli`` sets the thread variables
+    script = (
+        "import os, sys\n"
+        "import dualstyle\n"
+        "early = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('dualstyle.'))\n"
+        "assert early == [], early\n"
+        "import dualstyle.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(' '.join(os.environ[v] for v in "
+        "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["DUALSTYLE_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["3", "3", "3"]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -29,7 +48,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    files = [path for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
     assert files
     unused = [hit for path in files for hit in _unused_imports(path)]
     assert unused == []
