@@ -1,14 +1,14 @@
-"""Dual training engine: warm-up pre-training, alternating policy-gradient
-updates on the two mapping models, and annealed pseudo teacher forcing.
+"""Dual training engine: warm-up pre-training, policy-gradient updates on the
+two mapping models, and annealed pseudo teacher forcing.
 
-Each iteration trains the x->y model on a style-x batch (sampled transfers
-scored by the frozen classifier and by the opposite model's reconstruction
-probability), optionally consolidates it with one MLE step on back-translated
-pairs, then does the mirrored pair of updates for the y->x model.  Both
-directions share one teacher-forcing trigger: the annealed schedule is asked
-once per iteration, and its answer holds for both MLE steps.  A
-policy-gradient step is three plain calls: ``sample_batch``, then
-``combined_rewards``, then ``reinforce_gradient`` on the samples and rewards.
+Each iteration first samples and scores both directions against the models
+as the iteration found them: x->y transfers of a style-x batch, then y->x
+transfers of a style-y batch, each scored by the frozen classifier and by the
+opposite model's reconstruction probability.  Then, one direction at a time,
+it takes that direction's policy-gradient update (``rl_step``) and, if the
+annealed schedule fires, one MLE step on pairs back-translated by the live
+opposite model.  Both directions share one teacher-forcing trigger: the
+schedule is asked once per iteration, and its answer holds for both MLE steps.
 
 A run directory keeps each thing once.  The best models live only in
 ``f_best.ckpt``/``g_best.ckpt``.  The history lives only in one append-only
@@ -24,15 +24,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .classifier import TextClassifier
-from .corpus import Sentence, StyleCorpus, StyleLabel, pad_batch
-from .errors import InvalidSpecError
+from .corpus import Sentence, StyleCorpus, pad_batch
+from .errors import InvalidSpecError, StateMismatchError
 from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm
 from .pseudo import PseudoPair, back_translate_batch
@@ -178,23 +178,21 @@ def taped_groups(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return groups, (groups[:, None] * k + np.arange(k)).reshape(-1)
 
 
-def rl_step(policy: Seq2Seq, opposite_snapshot: Seq2Seq, clf: TextClassifier,
-            batch: list[Sentence], target: StyleLabel, cfg: TrainConfig,
-            opt: AdamState, rng: np.random.Generator) -> dict:
-    """One policy-gradient update for one direction: sample k transfers per
-    source, score them, and take one clipped Adam step on their gradient.
+def rl_step(policy: Seq2Seq, batch: list[Sentence], samples: list[Sentence],
+            rewards: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: TrainConfig,
+            opt: AdamState) -> dict:
+    """One policy-gradient update for one direction: a clipped Adam step on
+    the gradient of ``samples`` (k per source of ``batch``, source major)
+    scored by the ``combined_rewards`` triple ``rewards``.
 
     Returns the mean rewards, the degenerate (empty) sample count, the gradient
     norm before clipping, ``taped_groups`` and ``distinct_pairs``.
     """
-    k = cfg.reward.sample_size
-    samples, _ = policy.sample_batch(batch, k, rng, cfg.max_decode_len, cfg.temperature)
-    sources_rep = [batch[i // k] for i in range(len(samples))]
-    r_style, r_content, r_total = combined_rewards(
-        clf, opposite_snapshot, samples, sources_rep, target, cfg.reward)
+    r_style, r_content, r_total = rewards
     grads, groups = reinforce_gradient(policy, batch, samples, r_total)
     grad_norm = clip_global_norm(grads, cfg.grad_clip)
     adam_step(policy.params, grads, opt)
+    sources_rep = [batch[i // cfg.reward.sample_size] for i in range(len(samples))]
     return {
         "mean_r_style": float(np.mean(r_style)),
         "mean_r_content": float(np.mean(r_content)),
@@ -329,36 +327,37 @@ def _append_event(path: Path, event: dict) -> int:
         return fh.tell()
 
 
-def _save_models(run_dir: Path, tag: str, model_f: Seq2Seq, model_g: Seq2Seq) -> None:
-    model_f.save(run_dir / "checkpoints" / f"f_{tag}.ckpt")
-    model_g.save(run_dir / "checkpoints" / f"g_{tag}.ckpt")
-
-
 def save_train_state(run_dir, state: TrainState) -> None:
     payload = json.dumps(asdict(state), sort_keys=True)
     write_atomic(Path(run_dir) / "checkpoints" / "state.json", [payload.encode("utf-8")])
 
 
 def load_train_state(run_dir) -> TrainState:
-    payload = json.loads((Path(run_dir) / "checkpoints" / "state.json").read_text())
+    path = Path(run_dir) / "checkpoints" / "state.json"
+    payload = json.loads(path.read_text())
+    names = {f.name for f in fields(TrainState)}
+    extra, missing = sorted(payload.keys() - names), sorted(names - payload.keys())
+    if extra or missing:
+        raise StateMismatchError(f"{path} does not hold this version's train state: "
+                                 f"extra keys {extra}, missing keys {missing}")
     return TrainState(**payload)
 
 
 def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
           corpus: StyleCorpus, cfg: TrainConfig, run_dir,
           gold_refs: dict | None = None, resume: bool = False) -> TrainResult:
-    """Alternating dual training of ``model_f`` and ``model_g`` in place.
+    """Dual training of ``model_f`` and ``model_g`` in place.
 
-    Per iteration: policy-gradient update for the x->y model on a style-x
-    batch, conditional teacher forcing for it on back-translated style-y
-    sentences, then the mirrored updates for the y->x model; one trigger
-    decides both teacher-forcing steps.  Dev score is evaluated once per
-    epoch, so both styles need dev sentences; training stops at the
-    iteration/epoch budget or once the score has not improved for
-    ``patience`` epochs, whichever comes first.  The models passed in come
-    back holding the best weights, read from ``f_best.ckpt``/``g_best.ckpt``,
-    or as trained if no epoch ran.  The history is the epoch lines of
-    ``events.jsonl`` without their ``"event"``.
+    Per iteration: sample and score a style-x batch with the x->y model and a
+    style-y batch with the y->x model, both against the models as the
+    iteration began; then, x->y first, each model's policy-gradient update and
+    its teacher forcing on back-translations by the live opposite model (one
+    trigger decides both).  Dev score is evaluated once per epoch, so both
+    styles need dev sentences; training stops at the iteration/epoch budget or
+    once the score has not improved for ``patience`` epochs, whichever comes
+    first.  The models passed in come back holding the best weights, read from
+    ``f_best.ckpt``/``g_best.ckpt``, or as trained if no epoch ran.  The
+    history is the epoch lines of ``events.jsonl`` without their ``"event"``.
     """
     if not clf.frozen:
         raise RuntimeError("classifier must be frozen before dual training")
@@ -373,22 +372,24 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     if max_iters is None:
         max_iters = cfg.max_dual_epochs * iters_per_epoch
 
-    opt_f = AdamState(lr=cfg.dual_lr)
-    opt_g = AdamState(lr=cfg.dual_lr)
+    # one row per direction: checkpoint tag, policy, opposite model, optimizer,
+    # target style, RL and TF splits, and the seed salts of their epoch orders
+    directions = (
+        ("f", model_f, model_g, AdamState(lr=cfg.dual_lr), corpus.label_y,
+         train_x, train_y, 21, 23),
+        ("g", model_g, model_f, AdamState(lr=cfg.dual_lr), corpus.label_x,
+         train_y, train_x, 22, 24),
+    )
     state = TrainState()
-    start_epoch = 0
     run_dir = Path(run_dir)
     events = run_dir / "events.jsonl"
     ck = run_dir / "checkpoints"
     if resume:
-        model_f.load_state_dict(load_checkpoint(ck / "f_last.ckpt")[0])
-        model_g.load_state_dict(load_checkpoint(ck / "g_last.ckpt")[0])
-        arrays, meta = load_checkpoint(ck / "opt_f_last.ckpt")
-        opt_f.load_state_arrays(arrays, meta["t"])
-        arrays, meta = load_checkpoint(ck / "opt_g_last.ckpt")
-        opt_g.load_state_arrays(arrays, meta["t"])
         state = load_train_state(run_dir)
-        start_epoch = state.epoch
+        for tag, policy, _, opt, *_ in directions:
+            policy.load_state_dict(load_checkpoint(ck / f"{tag}_last.ckpt")[0])
+            arrays, meta = load_checkpoint(ck / f"opt_{tag}_last.ckpt")
+            opt.load_state_arrays(arrays, meta["t"])
         # lines past the checkpoint were written by iterations that rerun
         os.truncate(events, state.events_bytes)
     else:
@@ -397,15 +398,15 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
     rl_on = cfg.ablation in ("rl_plus_mle", "rl_only")
     mle_on = cfg.ablation in ("rl_plus_mle", "mle_only")
+    k = cfg.reward.sample_size
 
-    for epoch in range(start_epoch, cfg.max_dual_epochs):
+    for epoch in range(state.epoch, cfg.max_dual_epochs):
         if state.iteration >= max_iters:
             break
         state.epoch = epoch
-        rl_x = _epoch_batches(train_x, cfg.dual_batch, [cfg.seed, 21, epoch])
-        rl_y = _epoch_batches(train_y, cfg.dual_batch, [cfg.seed, 22, epoch])
-        tf_y = _epoch_batches(train_y, cfg.dual_batch, [cfg.seed, 23, epoch])
-        tf_x = _epoch_batches(train_x, cfg.dual_batch, [cfg.seed, 24, epoch])
+        orders = [(_epoch_batches(rl_split, cfg.dual_batch, [cfg.seed, rl_salt, epoch]),
+                   _epoch_batches(tf_split, cfg.dual_batch, [cfg.seed, tf_salt, epoch]))
+                  for *_, rl_split, tf_split, rl_salt, tf_salt in directions]
         rng = np.random.default_rng([cfg.seed, 25, epoch])
 
         reward_sums = {"r_style": 0.0, "r_content": 0.0, "r_total": 0.0}
@@ -416,30 +417,33 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             forced = mle_on and should_teacher_force(
                 state, anneal_interval(state.iteration, cfg.schedule))
 
+            # both directions are scored before either model moves
+            scored = []
             if rl_on:
-                f_snap = model_f.clone()
-                stats_f = rl_step(model_f, model_g, clf, rl_x[it % len(rl_x)],
-                                  corpus.label_y, cfg, opt_f, rng)
-            if forced:
-                teacher_forcing_step(model_f, model_g, tf_y[it % len(tf_y)], opt_f, cfg)
+                for (_, policy, opposite, _, target, *_), (rl, _) in zip(directions, orders):
+                    batch = rl[it % len(rl)]
+                    samples, _ = policy.sample_batch(batch, k, rng, cfg.max_decode_len, cfg.temperature)
+                    sources_rep = [batch[i // k] for i in range(len(samples))]
+                    scored.append((batch, samples, combined_rewards(
+                        clf, opposite, samples, sources_rep, target, cfg.reward)))
+
+            stats = []
+            for i, ((_, policy, opposite, opt, *_), (_, tf)) in enumerate(zip(directions, orders)):
+                if rl_on:
+                    stats.append(rl_step(policy, *scored[i], cfg, opt))
+                if forced:
+                    teacher_forcing_step(policy, opposite, tf[it % len(tf)], opt, cfg)
 
             if rl_on:
-                stats_g = rl_step(model_g, f_snap, clf, rl_y[it % len(rl_y)],
-                                  corpus.label_x, cfg, opt_g, rng)
-            if forced:
-                teacher_forcing_step(model_g, model_f, tf_x[it % len(tf_x)], opt_g, cfg)
-
-            if rl_on:
-                event = {"event": "iteration", "iteration": state.iteration}
-                for key in ("r_style", "r_content", "r_total"):
-                    mean_f, mean_g = stats_f[f"mean_{key}"], stats_g[f"mean_{key}"]
-                    # one direction at a time, as the epoch means always summed
-                    reward_sums[key] += mean_f
-                    reward_sums[key] += mean_g
-                    event[f"mean_{key}"] = (mean_f + mean_g) / 2
-                state.degenerate_count += stats_f["degenerate"] + stats_g["degenerate"]
-                n_rl += 2
-                _append_event(events, event)
+                for s in stats:
+                    for key in reward_sums:
+                        reward_sums[key] += s[f"mean_{key}"]
+                    state.degenerate_count += s["degenerate"]
+                n_rl += len(stats)
+                _append_event(events, {
+                    "event": "iteration", "iteration": state.iteration,
+                    **{f"mean_{key}": sum(s[f"mean_{key}"] for s in stats) / len(stats)
+                       for key in reward_sums}})
             state.iteration += 1
 
         dev = evaluate_dev(model_f, model_g, clf, corpus, cfg, gold_refs)
@@ -449,18 +453,19 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         if dev["dev_score"] > state.best_score:
             state.best_score = dev["dev_score"]
             state.best_epoch = epoch
-            _save_models(run_dir, "best", model_f, model_g)
         state.epoch = epoch + 1
-        _save_models(run_dir, "last", model_f, model_g)
-        save_checkpoint(ck / "opt_f_last.ckpt", opt_f.state_arrays(), {"t": opt_f.t})
-        save_checkpoint(ck / "opt_g_last.ckpt", opt_g.state_arrays(), {"t": opt_g.t})
+        for tag, policy, _, opt, *_ in directions:
+            if state.best_epoch == epoch:
+                policy.save(ck / f"{tag}_best.ckpt")
+            policy.save(ck / f"{tag}_last.ckpt")
+            save_checkpoint(ck / f"opt_{tag}_last.ckpt", opt.state_arrays(), {"t": opt.t})
         save_train_state(run_dir, state)
         if epoch - state.best_epoch >= cfg.patience:
             break
 
     if state.best_epoch >= 0:
-        model_f.load_state_dict(load_checkpoint(ck / "f_best.ckpt")[0])
-        model_g.load_state_dict(load_checkpoint(ck / "g_best.ckpt")[0])
+        for tag, policy, *_ in directions:
+            policy.load_state_dict(load_checkpoint(ck / f"{tag}_best.ckpt")[0])
     lines = events.read_text(encoding="utf-8").splitlines()
     history = [event for event in map(json.loads, lines) if event.pop("event") == "epoch"]
     return TrainResult(model_f=model_f, model_g=model_g, state=state, history=history)

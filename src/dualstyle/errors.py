@@ -35,3 +35,7 @@ class LengthMismatchError(DualStyleError):
 
 class MissingReferenceError(DualStyleError):
     pass
+
+
+class StateMismatchError(DualStyleError):
+    pass

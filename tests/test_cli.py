@@ -133,6 +133,19 @@ def test_resume_refuses_a_changed_config(tmp_path, capsys):
     assert json.loads((tmp_path / "run" / "config.json").read_text())["max_dual_epochs"] == 2
 
 
+def test_resume_refuses_a_state_file_of_another_version(tmp_path, capsys):
+    run = _trained_run(tmp_path)
+    state_path = tmp_path / "run" / "checkpoints" / "state.json"
+    state_path.write_text(json.dumps({**json.loads(state_path.read_text()),
+                                      "epochs_since_improvement": 0}))
+    events = (tmp_path / "run" / "events.jsonl").read_bytes()
+    capsys.readouterr()
+    assert run(["train", "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "error=StateMismatchError" in err and "epochs_since_improvement" in err
+    assert (tmp_path / "run" / "events.jsonl").read_bytes() == events
+
+
 def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch):
     run = _trained_run(tmp_path)
     run_dir = tmp_path / "run"

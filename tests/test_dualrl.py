@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -230,14 +231,13 @@ def test_rl_step_runs_and_reports(tiny_task, tiny_models, tiny_classifier):
     policy = model_f.clone()
     cfg = TrainConfig(dual_lr=1e-3, reward=RewardConfig(sample_size=2), seed=0)
     batch = corpus.of(corpus.label_x, "train")[:16]
-    # the samples rl_step draws: the same policy and a rng with the same seed
     samples, _ = policy.sample_batch(batch, 2, np.random.default_rng(0),
                                      cfg.max_decode_len, cfg.temperature)
     sources_rep = [batch[i // 2] for i in range(len(samples))]
-    _, _, r_total = combined_rewards(tiny_classifier, model_g, samples, sources_rep,
-                                     corpus.label_y, cfg.reward)
-    stats = rl_step(policy, model_g.clone(), tiny_classifier, batch, corpus.label_y,
-                    cfg, AdamState(lr=cfg.dual_lr), np.random.default_rng(0))
+    rewards = combined_rewards(tiny_classifier, model_g, samples, sources_rep,
+                               corpus.label_y, cfg.reward)
+    r_total = rewards[2]
+    stats = rl_step(policy, batch, samples, rewards, cfg, AdamState(lr=cfg.dual_lr))
     assert 0.0 <= stats["mean_r_style"] <= 1.0
     assert 0.0 <= stats["mean_r_content"] <= 1.0
     assert stats["mean_r_total"] == float(np.mean(r_total))
@@ -506,6 +506,51 @@ def test_train_returns_the_models_it_was_given_holding_the_best_weights(
     for model, warm in zip((f, g), warm_models):
         for key, p in warm.params.items():
             assert np.array_equal(model.params[key].value, p.value), key
+
+
+def test_train_makes_no_model_copy(tiny_task, warm_models, tiny_classifier, tmp_path,
+                                   monkeypatch):
+    corpus, gold, vocab = tiny_task
+    f, g = (m.clone() for m in warm_models)
+
+    def refusing_clone(self):
+        raise AssertionError(f"train copied the {self.direction} model")
+
+    monkeypatch.setattr(Seq2Seq, "clone", refusing_clone)
+    res = train(f, g, tiny_classifier, corpus, mini_cfg(max_iterations=2),
+                run_dir=tmp_path, gold_refs=gold.refs)
+    assert res.state.iteration == 2
+
+
+def _fingerprint(model: Seq2Seq) -> str:
+    return hashlib.sha256(b"".join(model.params[k].value.tobytes()
+                                   for k in sorted(model.params))).hexdigest()
+
+
+def test_each_content_reward_reads_the_opposite_model_as_the_iteration_began(
+        tiny_task, warm_models, tiny_classifier, tmp_path, monkeypatch):
+    corpus, gold, vocab = tiny_task
+    f, g = (m.clone() for m in warm_models)
+    # p0 = 1 fires teacher forcing at iteration 0, so both models take two steps in it
+    cfg = mini_cfg(max_iterations=2)
+    events = tmp_path / "events.jsonl"
+    at_start, calls = {}, []
+
+    def recording_combined_rewards(clf, back_model, *args):
+        lines = events.read_text().splitlines()
+        iteration = sum(json.loads(line)["event"] == "iteration" for line in lines)
+        if iteration not in at_start:
+            at_start[iteration] = {m.direction: _fingerprint(m) for m in (f, g)}
+        calls.append((iteration, back_model.direction, _fingerprint(back_model)))
+        return combined_rewards(clf, back_model, *args)
+
+    monkeypatch.setattr(dualrl, "combined_rewards", recording_combined_rewards)
+    train(f, g, tiny_classifier, corpus, cfg, run_dir=tmp_path, gold_refs=gold.refs)
+    # x->y samples are scored by the y->x model, then y->x samples by the x->y one
+    assert [c[:2] for c in calls] == [(0, "y2x"), (0, "x2y"), (1, "y2x"), (1, "x2y")]
+    assert all(at_start[0][d] != at_start[1][d] for d in ("x2y", "y2x"))
+    for iteration, direction, fingerprint in calls:
+        assert fingerprint == at_start[iteration][direction], (iteration, direction)
 
 
 @pytest.mark.parametrize("mode", ["rl_only", "mle_only"])
