@@ -6,6 +6,11 @@ in header order.  Writing is byte-deterministic for identical inputs and
 round-trips float64 losslessly.  A write goes through ``write_atomic``, so a
 crash mid-write leaves the previous checkpoint whole; loading rejects a
 payload whose length differs from what the header lists.
+
+``save_model`` and ``load_model`` are the one path for a model's weights:
+the file stores the model's ``params`` with its vocabulary's hash, and a
+load refuses a file built for another vocabulary or holding other
+parameter names or shapes than the model it builds.
 """
 
 from __future__ import annotations
@@ -84,6 +89,31 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if extra:
             raise ValueError(f"{path} has {extra} bytes past the arrays its header lists")
     return arrays, header["meta"]
+
+
+def save_model(path, model, meta: dict) -> None:
+    """Write ``model.params`` with ``meta`` and the hash of ``model.vocab``."""
+    save_checkpoint(path, {k: p.value for k, p in model.params.items()},
+                    {**meta, "vocab_hash": model.vocab.content_hash()})
+
+
+def load_model(path, vocab, build):
+    """The model ``build(meta)`` makes, holding the weights saved at ``path``.
+
+    Raises ``ValueError`` naming ``path``, before any weight changes, if the
+    file was saved for another vocabulary or its arrays differ in name or
+    shape from the built model's parameters.
+    """
+    arrays, meta = load_checkpoint(path)
+    if meta.get("vocab_hash") != vocab.content_hash():
+        raise ValueError(f"{path} was built with a different vocabulary")
+    model = build(meta)
+    if ({k: a.shape for k, a in arrays.items()}
+            != {k: p.value.shape for k, p in model.params.items()}):
+        raise ValueError(f"{path} does not hold this model's parameters")
+    for k, p in model.params.items():
+        p.value = arrays[k]
+    return model
 
 
 def checkpoint_hash(path) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary
 from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads
@@ -109,35 +109,20 @@ class TextClassifier:
         adam_step(self.params, grads, opt)
         return float(loss.value)
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.value.copy() for k, v in self.params.items()}
-
-    def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            p.value = arrays[k].copy()
-
     def save(self, path) -> None:
-        meta = {
-            "kind": "cls",
-            "vocab_hash": self.vocab.content_hash(),
-            "embed_dim": self.cfg.embed_dim,
-            "channels": self.cfg.channels,
-            "widths": list(self.cfg.widths),
-            "frozen": self.frozen,
-        }
-        save_checkpoint(path, self.state_dict(), meta)
+        save_model(path, self, {"kind": "cls", "embed_dim": self.cfg.embed_dim,
+                                "channels": self.cfg.channels,
+                                "widths": list(self.cfg.widths), "frozen": self.frozen})
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TextClassifier":
-        arrays, meta = load_checkpoint(path)
-        if meta.get("vocab_hash") != vocab.content_hash():
-            raise ValueError("checkpoint was built with a different vocabulary")
-        cfg = ClassifierConfig(embed_dim=meta["embed_dim"], channels=meta["channels"],
-                               widths=tuple(meta["widths"]))
-        clf = cls(vocab, cfg)
-        clf.load_state_dict(arrays)
-        clf.frozen = meta["frozen"]
-        return clf
+        def build(meta):
+            clf = cls(vocab, ClassifierConfig(embed_dim=meta["embed_dim"],
+                                              channels=meta["channels"],
+                                              widths=tuple(meta["widths"])))
+            clf.frozen = meta["frozen"]
+            return clf
+        return load_model(path, vocab, build)
 
 
 def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
@@ -169,9 +154,10 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
             acc = float((preds == np.array([lab for _, lab in dev_items])).mean())
             if acc > best_acc:
                 best_acc = acc
-                best_state = clf.state_dict()
+                best_state = {k: p.value.copy() for k, p in clf.params.items()}
     if best_state is not None:
-        clf.load_state_dict(best_state)
+        for k, p in clf.params.items():
+            p.value = best_state[k]
     elif dev_items:
         best_acc = 0.0
     else:

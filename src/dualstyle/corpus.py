@@ -90,9 +90,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, load_model, save_checkpoint, write_atomic
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleCorpus, pad_batch
 from .errors import InvalidSpecError, StateMismatchError
@@ -387,7 +387,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     if resume:
         state = load_train_state(run_dir)
         for tag, policy, _, opt, *_ in directions:
-            policy.load_state_dict(load_checkpoint(ck / f"{tag}_last.ckpt")[0])
+            load_model(ck / f"{tag}_last.ckpt", policy.vocab, lambda _: policy)
             arrays, meta = load_checkpoint(ck / f"opt_{tag}_last.ckpt")
             opt.load_state_arrays(arrays, meta["t"])
         # lines past the checkpoint were written by iterations that rerun
@@ -465,7 +465,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
 
     if state.best_epoch >= 0:
         for tag, policy, *_ in directions:
-            policy.load_state_dict(load_checkpoint(ck / f"{tag}_best.ckpt")[0])
+            load_model(ck / f"{tag}_best.ckpt", policy.vocab, lambda _: policy)
     lines = events.read_text(encoding="utf-8").splitlines()
     history = [event for event in map(json.loads, lines) if event.pop("event") == "epoch"]
     return TrainResult(model_f=model_f, model_g=model_g, state=state, history=history)

@@ -30,34 +30,24 @@ from .errors import LengthMismatchError, MissingReferenceError
 MAX_ORDER = 4
 
 
-def _clipped_matches(cand, refs, n: int) -> tuple[int, int]:
-    """Clipped n-gram matches of ``cand`` and its n-gram count.
+def _bleu_stats(cand, refs) -> tuple[list[int], list[int], int]:
+    """Clipped matches and n-gram counts of ``cand`` per order, plus the
+    reference length closest to its length (ties go to the shorter).
 
     Each candidate n-gram counts at most as often as it occurs in the
     reference that holds it most often.
     """
-    counts = Counter(ngrams(cand, n))
-    if not counts:
-        return 0, 0
+    def counts(tokens):
+        return Counter(g for n in range(1, MAX_ORDER + 1) for g in ngrams(tokens, n))
     max_ref = Counter()
     for ref in refs:
-        for gram, cnt in Counter(ngrams(ref, n)).items():
-            if cnt > max_ref[gram]:
-                max_ref[gram] = cnt
-    match = sum(min(cnt, max_ref[gram]) for gram, cnt in counts.items())
-    return match, sum(counts.values())
-
-
-def _closest_ref_length(cand_len: int, ref_lens) -> int:
-    best = None
-    for length in ref_lens:
-        if best is None:
-            best = length
-            continue
-        diff, best_diff = abs(length - cand_len), abs(best - cand_len)
-        if diff < best_diff or (diff == best_diff and length < best):
-            best = length
-    return best
+        max_ref |= counts(ref)
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    for gram, cnt in counts(cand).items():
+        matches[len(gram) - 1] += min(cnt, max_ref[gram])
+        totals[len(gram) - 1] += cnt
+    closest = min((len(r) for r in refs), key=lambda n: (abs(n - len(cand)), n))
+    return matches, totals, closest
 
 
 def corpus_bleu(candidates, references) -> float:
@@ -81,12 +71,11 @@ def corpus_bleu(candidates, references) -> float:
             raise MissingReferenceError("a candidate has no references")
         cand = tuple(cand)
         refs = [tuple(r) for r in refs]
+        cand_matches, cand_totals, closest = _bleu_stats(cand, refs)
+        matches = [m + c for m, c in zip(matches, cand_matches)]
+        totals = [t + c for t, c in zip(totals, cand_totals)]
         cand_length += len(cand)
-        ref_length += _closest_ref_length(len(cand), [len(r) for r in refs])
-        for n in range(1, MAX_ORDER + 1):
-            match, total = _clipped_matches(cand, refs, n)
-            matches[n - 1] += match
-            totals[n - 1] += total
+        ref_length += closest
     if cand_length == 0 or any(m == 0 for m in matches) or any(t == 0 for t in totals):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
@@ -97,23 +86,22 @@ def corpus_bleu(candidates, references) -> float:
 def sentence_bleu_smoothed(candidate, references) -> float:
     """Sentence-level BLEU-4 in [0, 100] with add-1 smoothing on orders >= 2.
 
-    This is the reward-side matcher; reported metrics always use the
-    unsmoothed corpus-level score above.
+    It fills the per-sentence ``best_ref_bleu`` of an evaluation report;
+    the reported BLEU is always the unsmoothed corpus-level score above.
     """
     cand = tuple(candidate)
     refs = [tuple(r) for r in references]
     if not refs:
         raise MissingReferenceError("sentence BLEU needs at least one reference")
+    matches, totals, ref_len = _bleu_stats(cand, refs)
     log_precision = 0.0
-    for n in range(1, MAX_ORDER + 1):
-        match, total = _clipped_matches(cand, refs, n)
+    for n, match, total in zip(range(1, MAX_ORDER + 1), matches, totals):
         if n >= 2:
             match += 1
             total += 1
         if total == 0 or match == 0:
             return 0.0
         log_precision += math.log(match / total) / MAX_ORDER
-    ref_len = _closest_ref_length(len(cand), [len(r) for r in refs])
     bp = 1.0 if len(cand) > ref_len else math.exp(1.0 - ref_len / max(len(cand), 1))
     return 100.0 * bp * math.exp(log_precision)
 

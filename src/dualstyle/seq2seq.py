@@ -38,7 +38,7 @@ import copy
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .corpus import BOS, EOS, PAD, Sentence, Vocabulary, pad_batch
 from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads
@@ -275,35 +275,17 @@ class Seq2Seq:
 
     # -- persistence ---------------------------------------------------------
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.value.copy() for k, v in self.params.items()}
-
-    def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            p.value = arrays[k].copy()
-
     def clone(self) -> "Seq2Seq":
         other = copy.copy(self)
         other.params = {k: ad.parameter(v.value.copy()) for k, v in self.params.items()}
         return other
 
     def save(self, path) -> None:
-        meta = {
-            "kind": "seq2seq",
-            "direction": self.direction,
-            "vocab_hash": self.vocab.content_hash(),
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-        }
-        save_checkpoint(path, self.state_dict(), meta)
+        save_model(path, self, {"kind": "seq2seq", "direction": self.direction,
+                                "embed_dim": self.embed_dim, "hidden_dim": self.hidden_dim})
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "Seq2Seq":
-        arrays, meta = load_checkpoint(path)
-        if meta.get("vocab_hash") != vocab.content_hash():
-            raise ValueError("checkpoint was built with a different vocabulary")
-        model = cls(vocab, embed_dim=meta["embed_dim"], hidden_dim=meta["hidden_dim"],
-                    direction=meta["direction"], seed=0)
-        model.load_state_dict(arrays)
-        return model
-
+        return load_model(path, vocab, lambda meta: cls(
+            vocab, embed_dim=meta["embed_dim"], hidden_dim=meta["hidden_dim"],
+            direction=meta["direction"], seed=0))

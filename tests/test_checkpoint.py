@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dualstyle import checkpoint
-from dualstyle.checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
+from dualstyle.checkpoint import checkpoint_hash, load_checkpoint, load_model, save_checkpoint
 from dualstyle.dualrl import TrainState, save_train_state
+from dualstyle.seq2seq import Seq2Seq
 
 from conftest import DiskFull
 
@@ -69,3 +70,14 @@ def test_interrupted_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir() if p.is_file()] == [path.name]
+
+
+def test_load_model_refuses_other_shapes_and_leaves_the_model_alone(small_vocab, tmp_path):
+    path = tmp_path / "m.ckpt"
+    Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=1).save(path)
+    other = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=9, seed=2)
+    before = {k: (p.value, p.value.copy()) for k, p in other.params.items()}
+    with pytest.raises(ValueError, match="m.ckpt"):
+        load_model(path, small_vocab, lambda _: other)
+    for k, p in other.params.items():
+        assert p.value is before[k][0] and np.array_equal(p.value, before[k][1])

@@ -146,6 +146,19 @@ def test_resume_refuses_a_state_file_of_another_version(tmp_path, capsys):
     assert (tmp_path / "run" / "events.jsonl").read_bytes() == events
 
 
+def test_resume_refuses_models_of_another_size(tmp_path, capsys):
+    run = _trained_run(tmp_path)
+    # a new warm start at another width rewrites config.json, so the config
+    # check passes and only the weights differ from the saved *_last models
+    assert run(["pretrain"], hidden_dim=4) == 0
+    events = (tmp_path / "run" / "events.jsonl").read_bytes()
+    capsys.readouterr()
+    assert run(["train", "--resume"], hidden_dim=4) == 1
+    err = capsys.readouterr().err
+    assert "error=ValueError" in err and "f_last.ckpt" in err
+    assert (tmp_path / "run" / "events.jsonl").read_bytes() == events
+
+
 def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch):
     run = _trained_run(tmp_path)
     run_dir = tmp_path / "run"

@@ -41,11 +41,11 @@ def test_tokenize_rejects_empty():
 def test_build_vocab_min_count():
     sents = [tokenize("a a b")]
     v1 = build_vocab(sents, min_count=1)
-    assert "a" in v1 and "b" in v1
+    assert v1.id_of("a") != UNK and v1.id_of("b") != UNK
     assert len(v1) == 6  # 4 reserved + 2
 
     v2 = build_vocab(sents, min_count=2)
-    assert "b" not in v2
+    assert v2.id_of("b") == UNK
     assert v2.to_ids(tokenize("b")).ids[0] == UNK
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualstyle.corpus import Sentence, StyleLabel
@@ -153,6 +153,63 @@ def test_smoothed_sentence_bleu_values():
     assert sentence_bleu_smoothed(toks("a b c d f"), [toks("a b c d e")]) == \
         pytest.approx(expected, abs=1e-9)
     assert sentence_bleu_smoothed(toks("x y"), [toks("a b")]) == 0.0
+
+
+def _reference_stats(cand, refs):
+    """Per-order clipped matches and n-gram counts, order by order, and the
+    closest reference length with ties going to the shorter reference."""
+    matches, totals = [], []
+    for n in range(1, 5):
+        grams = [tuple(cand[i: i + n]) for i in range(len(cand) - n + 1)]
+        ref_grams = [[tuple(r[i: i + n]) for i in range(len(r) - n + 1)] for r in refs]
+        matches.append(sum(min(grams.count(g), max(rg.count(g) for rg in ref_grams))
+                           for g in set(grams)))
+        totals.append(len(grams))
+    closest = min(sorted(len(r) for r in refs), key=lambda n: abs(n - len(cand)))
+    return matches, totals, closest
+
+
+def _reference_corpus_bleu(cands, refsets):
+    stats = [_reference_stats(c, r) for c, r in zip(cands, refsets)]
+    matches = [sum(s[0][n] for s in stats) for n in range(4)]
+    totals = [sum(s[1][n] for s in stats) for n in range(4)]
+    cand_length = sum(len(c) for c in cands)
+    ref_length = sum(s[2] for s in stats)
+    if cand_length == 0 or 0 in matches or 0 in totals:
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4
+    bp = 1.0 if cand_length > ref_length else math.exp(1.0 - ref_length / cand_length)
+    return 100.0 * bp * math.exp(log_precision)
+
+
+def _reference_sentence_bleu(cand, refs):
+    matches, totals, ref_len = _reference_stats(cand, refs)
+    log_precision = 0.0
+    for n in range(4):
+        match, total = matches[n] + (n > 0), totals[n] + (n > 0)
+        if total == 0 or match == 0:
+            return 0.0
+        log_precision += math.log(match / total) / 4
+    bp = 1.0 if len(cand) > ref_len else math.exp(1.0 - ref_len / max(len(cand), 1))
+    return 100.0 * bp * math.exp(log_precision)
+
+
+_tokens = st.lists(st.sampled_from("abc"), max_size=8).map(tuple)
+_case = st.tuples(_tokens, st.lists(_tokens, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_case, min_size=1, max_size=4))
+@example([((), [("a",)])])  # empty candidate
+@example([(("a", "b", "c", "a", "b"), [("a", "b", "c", "a"), ("a", "b", "c", "a", "b", "c")])])
+@example([(("a", "b", "a", "b"), [("b", "a", "b"), (), ("a", "b", "a", "b", "a")])])
+def test_bleu_matches_a_per_order_reference(cases):
+    # the second and third examples tie on reference length: 4 and 6 around 5, 3 and 5 around 4
+    cands = [c for c, _ in cases]
+    refsets = [r for _, r in cases]
+    assert corpus_bleu(cands, refsets) == _reference_corpus_bleu(cands, refsets)
+    for cand, refs in cases:
+        assert sentence_bleu_smoothed(cand, refs) == _reference_sentence_bleu(cand, refs)
 
 
 def test_evaluate_files_end_to_end(tmp_path, tiny_task, tiny_classifier):

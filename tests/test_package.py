@@ -83,6 +83,20 @@ def test_every_autodiff_function_has_a_caller_in_the_package():
     assert sorted(public - read - test_references) == []
 
 
+def test_model_weights_are_read_and_written_only_through_checkpoint():
+    # ``checkpoint.save_model``/``load_model`` own the weight format and its
+    # vocabulary check; no model keeps a second copy of either
+    paths = sorted((ROOT / "src" / "dualstyle").glob("*.py"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        if path.name != "checkpoint.py":
+            assert "vocab_hash" not in text, path.name
+        defined = {node.name for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"state_dict", "load_state_dict"}, path.name
+
+
 def _slow_numpy_calls(tree: ast.Module) -> list[str]:
     """Calls of ``einsum`` or of a ufunc's ``.at`` (``np.add.at``), by line.
 
