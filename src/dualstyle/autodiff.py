@@ -50,9 +50,6 @@ class Tensor:
         self.vjp = vjp
         self.constant = constant
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def _floating(value) -> np.ndarray:
     """``value`` as an array that keeps a float dtype; any other becomes float64."""
@@ -524,14 +521,14 @@ def grad_check(fn, params, h: float = 1e-5, samples_per_param: int | None = None
     """
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad = None
     with Tape() as tape:
         loss = fn(params)
     backward(tape, loss)
     analytic = [np.zeros_like(p.value) if p.grad is None else p.grad.copy()
                 for p in params]
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
     if rng is None:
         rng = np.random.default_rng(0)

@@ -15,7 +15,6 @@ parameter names or shapes than the model it builds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -114,7 +113,3 @@ def load_model(path, vocab, build):
     for k, p in model.params.items():
         p.value = arrays[k]
     return model
-
-
-def checkpoint_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

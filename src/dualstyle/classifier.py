@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_model, save_model
-from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary
+from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary, epoch_batches
 from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
@@ -143,12 +143,8 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
 
     best_acc, best_state = -1.0, None
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(train_items))
-        for lo in range(0, len(order), cfg.batch_size):
-            chunk = order[lo: lo + cfg.batch_size]
-            sents = [train_items[i][0] for i in chunk]
-            labels = np.array([train_items[i][1] for i in chunk])
-            clf.train_batch(sents, labels, opt)
+        for batch in epoch_batches(train_items, cfg.batch_size, rng):
+            clf.train_batch([s for s, _ in batch], np.array([lab for _, lab in batch]), opt)
         if dev_items:
             preds = clf.predict([s for s, _ in dev_items])
             acc = float((preds == np.array([lab for _, lab in dev_items])).mean())

@@ -206,10 +206,10 @@ def _log(**kv) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (shared with the test-suite pipeline)
+# command implementations (cmd_transfer and cmd_evaluate return their results)
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg: dict) -> dict:
+def cmd_synth(cfg: dict) -> None:
     spec = task_spec(cfg)
     corpus, gold = generate_synthetic(spec)
     data_dir = Path(cfg["data_dir"])
@@ -221,10 +221,9 @@ def cmd_synth(cfg: dict) -> dict:
     n_train = len(corpus.of(corpus.label_x, "train")) + len(corpus.of(corpus.label_y, "train"))
     _log(event="synth", kind=spec.kind, seed=spec.seed, data_dir=data_dir,
          train_sentences=n_train)
-    return {"corpus": corpus, "gold": gold}
 
 
-def cmd_pretrain_classifier(cfg: dict) -> dict:
+def cmd_pretrain_classifier(cfg: dict) -> None:
     corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)
@@ -237,7 +236,6 @@ def cmd_pretrain_classifier(cfg: dict) -> dict:
     clf.save(run_dir / "checkpoints" / "cls.ckpt")
     _log(event="pretrain_classifier", dev_acc=round(dev_acc, 4),
          ckpt=run_dir / "checkpoints" / "cls.ckpt")
-    return {"clf": clf, "dev_acc": dev_acc, "vocab": vocab}
 
 
 def _build_models(cfg: dict, vocab: Vocabulary) -> tuple[Seq2Seq, Seq2Seq]:
@@ -248,7 +246,8 @@ def _build_models(cfg: dict, vocab: Vocabulary) -> tuple[Seq2Seq, Seq2Seq]:
     return model_f, model_g
 
 
-def cmd_pretrain(cfg: dict) -> dict:
+def cmd_pretrain(cfg: dict) -> None:
+    tc = train_config(cfg)
     corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)
@@ -259,7 +258,6 @@ def cmd_pretrain(cfg: dict) -> dict:
     pairs_f, pairs_g = pseudo.make_pretrain_pairs(num, lex, vocab)
     dev_f, dev_g = pseudo.make_pretrain_pairs(num, lex, vocab, split="dev")
     model_f, model_g = _build_models(cfg, vocab)
-    tc = train_config(cfg)
     report = dualrl.pretrain(model_f, model_g, pairs_f, pairs_g, tc,
                              dev_pairs_f=dev_f, dev_pairs_g=dev_g)
     ck = run_dir / "checkpoints"
@@ -268,10 +266,10 @@ def cmd_pretrain(cfg: dict) -> dict:
     for direction, r in report.items():
         _log(event="pretrain", direction=direction,
              ppl_before=r["ppl_before"], ppl_after=r["ppl_after"])
-    return {"model_f": model_f, "model_g": model_g, "report": report}
 
 
-def cmd_train(cfg: dict, resume: bool = False) -> dict:
+def cmd_train(cfg: dict, resume: bool = False) -> None:
+    tc = train_config(cfg)
     corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     gold_refs = _load_gold_refs(cfg, corpus)
     run_dir = Path(cfg["run_dir"])
@@ -285,7 +283,6 @@ def cmd_train(cfg: dict, resume: bool = False) -> dict:
     clf.freeze()
     model_f = Seq2Seq.load(ck / "f_pre.ckpt", vocab)
     model_g = Seq2Seq.load(ck / "g_pre.ckpt", vocab)
-    tc = train_config(cfg)
     result = train(model_f, model_g, clf, num, tc, run_dir=run_dir,
                    gold_refs=gold_refs, resume=resume)
     last = result.history[-1] if result.history else {}
@@ -294,8 +291,6 @@ def cmd_train(cfg: dict, resume: bool = False) -> dict:
          best_epoch=result.state.best_epoch,
          dev_score=last.get("dev_score"), dev_acc=last.get("dev_acc"),
          dev_gold_bleu=last.get("dev_gold_bleu"))
-    return {"result": result, "vocab": vocab, "clf": clf, "gold_refs": gold_refs,
-            "corpus": num}
 
 
 def _load_gold_refs(cfg: dict, corpus) -> dict | None:
@@ -340,7 +335,7 @@ def cmd_evaluate(cfg: dict, outputs_path, reference_paths, target_style: str,
     return {"report": report}
 
 
-def cmd_ablate(cfg: dict, mode: str) -> dict:
+def cmd_ablate(cfg: dict, mode: str) -> None:
     sub = dict(cfg)
     sub["ablation"] = mode
     sub["run_dir"] = str(Path(cfg["run_dir"]) / f"ablate_{mode}")
@@ -351,9 +346,8 @@ def cmd_ablate(cfg: dict, mode: str) -> dict:
         (sub_ck / name).write_bytes((base_ck / name).read_bytes())
     (Path(sub["run_dir"]) / "vocab.txt").write_bytes(
         (Path(cfg["run_dir"]) / "vocab.txt").read_bytes())
-    out = cmd_train(sub)
+    cmd_train(sub)
     _log(event="ablate", mode=mode, run_dir=sub["run_dir"])
-    return out
 
 
 # ---------------------------------------------------------------------------

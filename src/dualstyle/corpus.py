@@ -101,14 +101,6 @@ class Vocabulary:
         ids = tuple(self.id_of(t) for t in sentence.surface) + (EOS,)
         return replace(sentence, ids=ids)
 
-    def from_ids(self, ids) -> Sentence:
-        """Invert to_ids; trailing EOS/PAD are stripped."""
-        ids = list(ids)
-        while ids and ids[-1] in (EOS, PAD):
-            ids.pop()
-        surface = tuple(self.id_to_token[i] for i in ids)
-        return Sentence(surface=surface, ids=tuple(ids) + (EOS,))
-
     def content_hash(self) -> str:
         payload = "\n".join(self.id_to_token).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
@@ -417,12 +409,19 @@ def lexicon_oracle_label(sentence: Sentence, gold: GoldReferences) -> int:
     return -1
 
 
-def pad_batch(id_seqs, pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id tuples into (ids, mask) arrays."""
+def pad_batch(id_seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Stack variable-length id tuples into (ids, mask) arrays, padded with PAD."""
     max_len = max(len(s) for s in id_seqs)
-    ids = np.full((len(id_seqs), max_len), pad_id, dtype=np.int64)
+    ids = np.full((len(id_seqs), max_len), PAD, dtype=np.int64)
     mask = np.zeros((len(id_seqs), max_len), dtype=np.float64)
     for i, seq in enumerate(id_seqs):
         ids[i, : len(seq)] = seq
         mask[i, : len(seq)] = 1.0
     return ids, mask
+
+
+def epoch_batches(items: list, size: int, rng: np.random.Generator) -> list[list]:
+    """One epoch of ``items`` in ``rng.permutation`` order, cut into batches
+    of ``size``; the last batch holds what is left."""
+    order = rng.permutation(len(items))
+    return [[items[i] for i in order[lo: lo + size]] for lo in range(0, len(order), size)]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, load_model, save_checkpoint, write_atomic
 from .classifier import TextClassifier
-from .corpus import Sentence, StyleCorpus, pad_batch
+from .corpus import Sentence, StyleCorpus, epoch_batches, pad_batch
 from .errors import InvalidSpecError, StateMismatchError
 from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm
@@ -54,6 +54,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if self.rate <= 1.0:
             raise ValueError("rate must exceed 1")
+        if not (self.p0 > 0 and self.gap > 0):
+            raise ValueError("p0 and gap must be positive")
         if self.p0 > self.p_max:
             raise ValueError("p0 must not exceed p_max")
 
@@ -91,6 +93,10 @@ class TrainConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if min(self.pretrain_lr, self.dual_lr) <= 0:
             raise ValueError("learning rates must be positive")
+        if not (self.temperature > 0 and self.grad_clip > 0):
+            raise ValueError("temperature and grad_clip must be positive")
+        if min(self.pretrain_batch, self.dual_batch, self.max_decode_len) < 1:
+            raise ValueError("pretrain_batch, dual_batch and max_decode_len must be at least 1")
 
 
 @dataclass
@@ -234,9 +240,7 @@ def pretrain(model_f: Seq2Seq, model_g: Seq2Seq,
         rng = np.random.default_rng([cfg.seed, salt])
         ppl_before = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
         for _ in range(cfg.pretrain_epochs):
-            order = rng.permutation(len(pairs))
-            for lo in range(0, len(order), cfg.pretrain_batch):
-                chunk = [pairs[i] for i in order[lo: lo + cfg.pretrain_batch]]
+            for chunk in epoch_batches(pairs, cfg.pretrain_batch, rng):
                 model.mle_step(chunk, opt, cfg.grad_clip)
         ppl_after = math.exp(model.mean_nll(dev_pairs)) if dev_pairs else None
         report[name] = {"ppl_before": ppl_before, "ppl_after": ppl_after}
@@ -292,27 +296,11 @@ class TrainResult:
     history: list[dict]
 
 
-def _epoch_batches(items: list, batch_size: int, seed_parts: list[int]) -> list[list]:
-    rng = np.random.default_rng(seed_parts)
-    order = rng.permutation(len(items))
-    return [[items[i] for i in order[lo: lo + batch_size]]
-            for lo in range(0, len(order), batch_size)]
-
-
-def _history_row(state: TrainState, reward_sums: dict, n_rl: int, dev: dict) -> dict:
-    row = {
-        "iteration": state.iteration,
-        "epoch": state.epoch,
-        "mean_r_style": reward_sums["r_style"] / n_rl if n_rl else None,
-        "mean_r_content": reward_sums["r_content"] / n_rl if n_rl else None,
-        "mean_r_total": reward_sums["r_total"] / n_rl if n_rl else None,
-        "dev_acc": dev["dev_acc"],
-        "dev_bleu": dev["dev_bleu"],
-        "dev_score": dev["dev_score"],
-        "dev_gold_bleu": dev.get("dev_gold_bleu"),
-        "dev_gold_h2": dev.get("dev_gold_h2"),
-    }
-    return row
+def _mean_rewards(stats: list[dict]) -> dict:
+    """Each reward part's mean over ``rl_step`` results, summed in their
+    order; ``None`` when there are none."""
+    return {key: sum(s[key] for s in stats) / len(stats) if stats else None
+            for key in ("mean_r_style", "mean_r_content", "mean_r_total")}
 
 
 def _append_event(path: Path, event: dict) -> int:
@@ -353,9 +341,10 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     iteration began; then, x->y first, each model's policy-gradient update and
     its teacher forcing on back-translations by the live opposite model (one
     trigger decides both).  Dev score is evaluated once per epoch, so both
-    styles need dev sentences; training stops at the iteration/epoch budget or
-    once the score has not improved for ``patience`` epochs, whichever comes
-    first.  The models passed in come back holding the best weights, read from
+    styles need dev sentences, and ``gold_refs`` holds one reference set per
+    dev sentence for both styles or for neither.  Training stops at the
+    iteration/epoch budget or once the score has not improved for
+    ``patience`` epochs, whichever comes first.  The models passed in come back holding the best weights, read from
     ``f_best.ckpt``/``g_best.ckpt``, or as trained if no epoch ran.  The
     history is the epoch lines of ``events.jsonl`` without their ``"event"``.
     """
@@ -365,6 +354,12 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     if no_dev:
         raise InvalidSpecError(f"no dev sentences for style {', '.join(no_dev)}: "
                                "dual training selects its models on the dev split")
+    refs = gold_refs or {}
+    uncovered = [label.name for label in corpus.labels()
+                 if len(refs.get((label.name, "dev"), ())) != len(corpus.of(label, "dev"))]
+    if any((label.name, "dev") in refs for label in corpus.labels()) and uncovered:
+        raise InvalidSpecError(f"dev references for style {', '.join(uncovered)} do not give "
+                               "one set per dev sentence: give them for both styles or neither")
     train_x = corpus.of(corpus.label_x, "train")
     train_y = corpus.of(corpus.label_y, "train")
     iters_per_epoch = max(1, math.ceil(len(train_x) / cfg.dual_batch))
@@ -404,13 +399,13 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         if state.iteration >= max_iters:
             break
         state.epoch = epoch
-        orders = [(_epoch_batches(rl_split, cfg.dual_batch, [cfg.seed, rl_salt, epoch]),
-                   _epoch_batches(tf_split, cfg.dual_batch, [cfg.seed, tf_salt, epoch]))
+        orders = [[epoch_batches(split, cfg.dual_batch,
+                                 np.random.default_rng([cfg.seed, salt, epoch]))
+                   for split, salt in ((rl_split, rl_salt), (tf_split, tf_salt))]
                   for *_, rl_split, tf_split, rl_salt, tf_salt in directions]
         rng = np.random.default_rng([cfg.seed, 25, epoch])
 
-        reward_sums = {"r_style": 0.0, "r_content": 0.0, "r_total": 0.0}
-        n_rl = 0
+        epoch_stats = []
         for it in range(iters_per_epoch):
             if state.iteration >= max_iters:
                 break
@@ -435,20 +430,18 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                     teacher_forcing_step(policy, opposite, tf[it % len(tf)], opt, cfg)
 
             if rl_on:
-                for s in stats:
-                    for key in reward_sums:
-                        reward_sums[key] += s[f"mean_{key}"]
-                    state.degenerate_count += s["degenerate"]
-                n_rl += len(stats)
-                _append_event(events, {
-                    "event": "iteration", "iteration": state.iteration,
-                    **{f"mean_{key}": sum(s[f"mean_{key}"] for s in stats) / len(stats)
-                       for key in reward_sums}})
+                state.degenerate_count += sum(s["degenerate"] for s in stats)
+                epoch_stats += stats
+                _append_event(events, {"event": "iteration", "iteration": state.iteration,
+                                       **_mean_rewards(stats)})
             state.iteration += 1
 
         dev = evaluate_dev(model_f, model_g, clf, corpus, cfg, gold_refs)
-        row = _history_row(state, reward_sums, n_rl, dev)
-        state.events_bytes = _append_event(events, {"event": "epoch", **row})
+        state.events_bytes = _append_event(events, {
+            "event": "epoch", "iteration": state.iteration, "epoch": state.epoch,
+            **_mean_rewards(epoch_stats),
+            **{key: dev.get(key) for key in ("dev_acc", "dev_bleu", "dev_score",
+                                             "dev_gold_bleu", "dev_gold_h2")}})
 
         if dev["dev_score"] > state.best_score:
             state.best_score = dev["dev_score"]

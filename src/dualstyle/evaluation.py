@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,7 @@ class EvalReport:
     h2: float
     n_sentences: int
     config_hash: str
-    records: list[dict] = field(default_factory=list)
+    records: list[dict]
 
     def summary(self) -> dict:
         return {

@@ -1,4 +1,8 @@
-"""Adam with bias correction, plus global-norm gradient clipping."""
+"""Adam with bias correction, plus global-norm gradient clipping.
+
+Adam's decay rates and stabiliser are the module constants ``BETA1``,
+``BETA2`` and ``EPS``: the defaults of Kingma & Ba, which every model uses.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +13,14 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import NaNDetectedError, ShapeMismatchError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators and the step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -40,8 +43,10 @@ ADAM_CHUNK = 1 << 15
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState) -> AdamState:
+              state: AdamState) -> None:
     """One bias-corrected Adam update, in place on the parameter values.
+
+    ``grads`` needs one gradient per parameter, as ``collect_grads`` gives.
 
     The update is ``lr * m_hat / (sqrt(v_hat) + eps)``, evaluated with ``out=``
     ufuncs into two scratch buffers shared by all parameters, in the order the
@@ -51,14 +56,11 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     changes no value.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1 ** state.t
-    correction2 = 1.0 - b2 ** state.t
+    correction1 = 1.0 - BETA1 ** state.t
+    correction2 = 1.0 - BETA2 ** state.t
     scratch1, scratch2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.value)
+        g = grads[name]
         if g.shape != p.value.shape:
             raise ShapeMismatchError(
                 f"gradient for {name} has shape {g.shape}, expected {p.value.shape}"
@@ -75,21 +77,20 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             hi = lo + ADAM_CHUNK
             gc, mc, vc = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
             s1, s2 = scratch1[: gc.size], scratch2[: gc.size]
-            mc *= b1
-            np.multiply(1.0 - b1, gc, out=s1)
+            mc *= BETA1
+            np.multiply(1.0 - BETA1, gc, out=s1)
             mc += s1
-            vc *= b2
-            np.multiply(1.0 - b2, gc, out=s1)
+            vc *= BETA2
+            np.multiply(1.0 - BETA2, gc, out=s1)
             s1 *= gc
             vc += s1
             np.divide(mc, correction1, out=s1)  # m_hat
             s1 *= state.lr
             np.divide(vc, correction2, out=s2)  # v_hat
             np.sqrt(s2, out=s2)
-            s2 += state.eps
+            s2 += EPS
             s1 /= s2
             flat_p[lo:hi] -= s1
-    return state
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:

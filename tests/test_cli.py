@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dualstyle import cli
-from dualstyle.checkpoint import checkpoint_hash
-from dualstyle.corpus import EOS
+from dualstyle.corpus import EOS, epoch_batches
 from dualstyle.dualrl import TrainConfig, evaluate_dev
 from dualstyle.errors import DualStyleError
 from dualstyle.optim import AdamState
@@ -33,10 +32,8 @@ def eos_first_run(tmp_path_factory, tiny_task, tiny_classifier):
     opt = AdamState(lr=1e-2)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        order = rng.permutation(len(pairs_f))
-        for lo in range(0, len(order), 32):
-            model_f.mle_step([(pairs_f[i].source, pairs_f[i].target)
-                              for i in order[lo: lo + 32]], opt)
+        for batch in epoch_batches(pairs_f, 32, rng):
+            model_f.mle_step([(p.source, p.target) for p in batch], opt)
     inputs = corpus.of(corpus.label_x, "dev")
     max_len = cli.DEFAULTS["max_decode_len"]
     for _ in range(40):
@@ -196,13 +193,44 @@ def test_train_without_a_dev_split_names_the_style_and_writes_no_events(
     assert not (tmp_path / "run" / "events.jsonl").exists()
 
 
+def _drop_last_line(path: Path) -> None:
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines()[:-1]))
+
+
+@pytest.mark.parametrize("style,damage", [("negative", _drop_last_line),
+                                          ("positive", Path.unlink)])
+def test_train_refuses_dev_references_that_miss_a_sentence_or_a_style(
+        tmp_path, capsys, style, damage):
+    # unchecked, both fail only after a whole epoch: one with a LengthMismatchError,
+    # the other with a KeyError, and neither leaves a run that can be resumed
+    run = _trained_run(tmp_path, commands=("synth", "pretrain-classifier", "pretrain"))
+    damage(tmp_path / "data" / f"{style}.dev.ref0.txt")
+    capsys.readouterr()
+    assert run(["train"]) == 1
+    err = capsys.readouterr().err
+    assert f"error=InvalidSpecError detail=dev references for style {style} " in err
+    assert not (tmp_path / "run" / "events.jsonl").exists()
+
+
+def test_train_refuses_settings_that_crash_or_corrupt_a_run_before_writing(tmp_path, capsys):
+    run = _trained_run(tmp_path)
+    run_dir = tmp_path / "run"
+    saved = {name: (run_dir / name).read_bytes() for name in ("config.json", "events.jsonl")}
+    for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"p0": 0},
+                {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0}):
+        capsys.readouterr()
+        assert run(["train"], **bad) == 1, bad
+        assert "error=ValueError detail=" in capsys.readouterr().err, bad
+        assert {name: (run_dir / name).read_bytes() for name in saved} == saved, bad
+
+
 def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):
     run = _trained_run(tmp_path)
     assert run(["ablate", "--mode", "mle_only"]) == 0
     base, sub = tmp_path / "run", tmp_path / "run" / "ablate_mle_only"
     for name in ("cls", "f_pre", "g_pre"):
-        assert checkpoint_hash(sub / "checkpoints" / f"{name}.ckpt") == \
-            checkpoint_hash(base / "checkpoints" / f"{name}.ckpt"), name
+        assert (sub / "checkpoints" / f"{name}.ckpt").read_bytes() == \
+            (base / "checkpoints" / f"{name}.ckpt").read_bytes(), name
     events = [json.loads(line) for line in (sub / "events.jsonl").read_text().splitlines()]
     assert any(e["event"] == "epoch" for e in events)
     assert json.loads((sub / "config.json").read_text())["ablation"] == "mle_only"

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from dualstyle.corpus import (
     Sentence,
     SyntheticTaskSpec,
     build_vocab,
+    epoch_batches,
     generate_synthetic,
     lexicon_oracle_label,
     load_corpus,
@@ -62,7 +64,7 @@ def test_to_ids_appends_eos_and_round_trips():
     vocab = build_vocab([tokenize("good food")])
     s = vocab.to_ids(tokenize("good food"))
     assert s.ids[-1] == EOS
-    assert vocab.from_ids(s.ids).surface == ("good", "food")
+    assert [vocab.token_of(i) for i in s.ids[:-1]] == ["good", "food"]
 
 
 def test_oov_maps_to_unk():
@@ -76,8 +78,7 @@ def test_oov_maps_to_unk():
 def test_round_trip_property(tokens):
     vocab = build_vocab([tokenize("a b c d e f g")])
     s = vocab.to_ids(Sentence(surface=tuple(tokens)))
-    back = vocab.from_ids(s.ids)
-    assert back.surface == tuple(tokens)
+    assert tuple(vocab.token_of(i) for i in s.ids[:-1]) == tuple(tokens)
     assert all(i >= 4 for i in s.ids[:-1])  # reserved ids never produced
 
 
@@ -192,3 +193,15 @@ def test_pad_batch():
     assert ids.shape == (2, 3)
     assert ids[1, 2] == PAD
     assert mask.tolist() == [[1, 1, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("size,lengths", [(4, [4, 4, 2]), (5, [5, 5]), (20, [10])])
+def test_epoch_batches_cut_each_epochs_permutation(size, lengths):
+    items = [f"s{i}" for i in range(10)]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):  # each epoch draws the next permutation from the same generator
+        batches = epoch_batches(items, size, rng)
+        assert [len(b) for b in batches] == lengths
+        flat = [x for b in batches for x in b]
+        assert sorted(flat) == sorted(items)
+        assert flat == [items[i] for i in ref.permutation(10)]
