@@ -17,17 +17,21 @@ from .corpus import EOS, PAD, Sentence, StyleCorpus, Vocabulary, epoch_batches
 from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
+# Adam's step size, the training batch and the global-norm clip bound.
+LR, BATCH_SIZE, GRAD_CLIP = 1e-3, 32, 5.0
+
 
 @dataclass
 class ClassifierConfig:
     embed_dim: int = 64
     channels: int = 32
     widths: tuple[int, ...] = (1, 2, 3)
-    lr: float = 1e-3
-    batch_size: int = 32
     epochs: int = 8
-    grad_clip: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.embed_dim, self.channels, self.epochs) < 1:
+            raise ValueError("embed_dim, channels and epochs must be at least 1")
 
 
 def predicted_class(probs: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ class TextClassifier:
             loss = ad.scale(ad.masked_sum(nll, np.ones(len(sentences))), 1.0 / len(sentences))
         ad.backward(tape, loss)
         grads = collect_grads(self.params)
-        clip_global_norm(grads, self.cfg.grad_clip)
+        clip_global_norm(grads, GRAD_CLIP)
         adam_step(self.params, grads, opt)
         return float(loss.value)
 
@@ -135,7 +139,7 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
     of ``nan``, since there is nothing to measure it on.
     """
     clf = TextClassifier(vocab, cfg)
-    opt = AdamState(lr=cfg.lr)
+    opt = AdamState(lr=LR)
     rng = np.random.default_rng(cfg.seed + 1)
 
     train_items = [(s, lab.index) for lab in corpus.labels() for s in corpus.of(lab, "train")]
@@ -143,7 +147,7 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
 
     best_acc, best_state = -1.0, None
     for _ in range(cfg.epochs):
-        for batch in epoch_batches(train_items, cfg.batch_size, rng):
+        for batch in epoch_batches(train_items, BATCH_SIZE, rng):
             clf.train_batch([s for s, _ in batch], np.array([lab for _, lab in batch]), opt)
         if dev_items:
             preds = clf.predict([s for s, _ in dev_items])
@@ -151,12 +155,10 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
             if acc > best_acc:
                 best_acc = acc
                 best_state = {k: p.value.copy() for k, p in clf.params.items()}
-    if best_state is not None:
+    if best_state is None:
+        best_acc = float("nan")
+    else:
         for k, p in clf.params.items():
             p.value = best_state[k]
-    elif dev_items:
-        best_acc = 0.0
-    else:
-        best_acc = float("nan")
     clf.freeze()
     return clf, best_acc

@@ -224,14 +224,14 @@ def cmd_synth(cfg: dict) -> None:
 
 
 def cmd_pretrain_classifier(cfg: dict) -> None:
+    cls_cfg = ClassifierConfig(embed_dim=cfg["cls_embed_dim"],
+                               channels=cfg["cls_channels"],
+                               epochs=cfg["cls_epochs"], seed=cfg["seed"])
     corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)
     vocab = get_vocab(cfg, run_dir, corpus)
     corpus = corpus.numericalize(vocab)
-    cls_cfg = ClassifierConfig(embed_dim=cfg["cls_embed_dim"],
-                               channels=cfg["cls_channels"],
-                               epochs=cfg["cls_epochs"], seed=cfg["seed"])
     clf, dev_acc = train_classifier(corpus, vocab, cls_cfg)
     clf.save(run_dir / "checkpoints" / "cls.ckpt")
     _log(event="pretrain_classifier", dev_acc=round(dev_acc, 4),
@@ -336,6 +336,9 @@ def cmd_evaluate(cfg: dict, outputs_path, reference_paths, target_style: str,
 
 
 def cmd_ablate(cfg: dict, mode: str) -> None:
+    """Dual training under ``mode`` in ``<run_dir>/ablate_<mode>``, from copies
+    of the run's classifier, warm start and vocabulary, so that the run's own
+    checkpoints and events stay as they are."""
     sub = dict(cfg)
     sub["ablation"] = mode
     sub["run_dir"] = str(Path(cfg["run_dir"]) / f"ablate_{mode}")
@@ -390,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run dual training")
     _add_common(p)
-    p.add_argument("--ablation", default=None, choices=list(dualrl.ABLATIONS))
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=lambda cfg, args: cmd_train(cfg, resume=args.resume))
@@ -429,7 +431,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.config, args.preset, _overrides(args))
         args.func(cfg, args)
-    except (DualStyleError, FileNotFoundError, ValueError) as exc:
+    except (DualStyleError, OSError, ValueError) as exc:
         print(f"error={exc.__class__.__name__} detail={exc}", file=sys.stderr)
         return 1
     return 0

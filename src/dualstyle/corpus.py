@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyLineError, InvalidSpecError
+from .errors import EmptyLineError, InvalidSpecError, LengthMismatchError
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -178,21 +178,24 @@ def save_references(refs, data_dir) -> None:
             )
 
 
+def read_references(paths) -> list[list[Sentence]]:
+    """Line-aligned reference files read as one reference set per line, the
+    sets holding one sentence per file in file order."""
+    columns = [read_sentences(path) for path in paths]
+    for path, column in zip(paths, columns):
+        if len(column) != len(columns[0]):
+            raise LengthMismatchError(
+                f"{path} has {len(column)} lines, {paths[0]} has {len(columns[0])}")
+    return [list(refs) for refs in zip(*columns)]
+
+
 def load_references(data_dir, style: str, split: str) -> list[list[Sentence]]:
     """Reference sets for ``<style>.<split>.txt``, one list per line."""
     root = Path(data_dir)
     ref_files = []
-    k = 0
-    while (root / f"{style}.{split}.ref{k}.txt").exists():
-        ref_files.append(root / f"{style}.{split}.ref{k}.txt")
-        k += 1
-    if not ref_files:
-        return []
-    columns = [read_sentences(path) for path in ref_files]
-    n = len(columns[0])
-    if any(len(col) != n for col in columns):
-        raise InvalidSpecError("reference files are not line-aligned")
-    return [[col[i] for col in columns] for i in range(n)]
+    while (root / f"{style}.{split}.ref{len(ref_files)}.txt").exists():
+        ref_files.append(root / f"{style}.{split}.ref{len(ref_files)}.txt")
+    return read_references(ref_files)
 
 
 # ---------------------------------------------------------------------------

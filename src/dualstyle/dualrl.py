@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("temperature and grad_clip must be positive")
         if min(self.pretrain_batch, self.dual_batch, self.max_decode_len) < 1:
             raise ValueError("pretrain_batch, dual_batch and max_decode_len must be at least 1")
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1: at 0 every run stops after one epoch")
 
 
 @dataclass
@@ -135,8 +137,9 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence],
 
     ``samples`` holds k = len(samples) // len(sources) samples per source,
     source major, and ``rewards`` one reward per sample.  Subtracts the
-    leave-one-out baseline (for k > 1; at k = 1 the advantage is the reward
-    itself) and backpropagates (1/(B*k)) * sum advantage * log-prob.  Empty
+    leave-one-out baseline (a sample with no valid other sample in its group,
+    as every sample at k = 1, keeps its reward as its advantage) and
+    backpropagates (1/(B*k)) * sum advantage * log-prob.  Empty
     samples keep their gradient term with reward 0 but are excluded from the
     baseline means, so the estimator stays unbiased.
 
@@ -152,17 +155,13 @@ def reinforce_gradient(policy: Seq2Seq, sources: list[Sentence],
     rewards = np.asarray(rewards, dtype=np.float64) * valid
     r_mat = rewards.reshape(batch, k)
     v_mat = valid.reshape(batch, k)
-    if k > 1:
-        # pairwise-difference form of R_k - mean(others): exactly zero when
-        # all rewards in a group agree
-        diffs = (r_mat[:, :, None] - r_mat[:, None, :]) * v_mat[:, None, :]
-        others_cnt = v_mat.sum(axis=1, keepdims=True) - v_mat
-        advantage = np.where(others_cnt > 0,
-                             diffs.sum(axis=2) / np.maximum(others_cnt, 1.0),
-                             r_mat)
-    else:
-        advantage = r_mat
-    advantage = advantage.reshape(-1)
+    # pairwise-difference form of R_k - mean(others): exactly zero when
+    # all rewards in a group agree
+    diffs = (r_mat[:, :, None] - r_mat[:, None, :]) * v_mat[:, None, :]
+    others_cnt = v_mat.sum(axis=1, keepdims=True) - v_mat
+    advantage = np.where(others_cnt > 0,
+                         diffs.sum(axis=2) / np.maximum(others_cnt, 1.0),
+                         r_mat).reshape(-1)
 
     weights = advantage / (batch * k)
     groups, rows = taped_groups(weights, k)

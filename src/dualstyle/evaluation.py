@@ -18,13 +18,13 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import predicted_class
-from .corpus import Sentence, StyleLabel, ngrams, read_sentences, tokenize
+from .corpus import Sentence, StyleLabel, ngrams, read_references, read_sentences, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
 MAX_ORDER = 4
@@ -76,7 +76,7 @@ def corpus_bleu(candidates, references) -> float:
         totals = [t + c for t, c in zip(totals, cand_totals)]
         cand_length += len(cand)
         ref_length += closest
-    if cand_length == 0 or any(m == 0 for m in matches) or any(t == 0 for t in totals):
+    if any(m == 0 for m in matches):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
     bp = 1.0 if cand_length > ref_length else math.exp(1.0 - ref_length / cand_length)
@@ -99,7 +99,7 @@ def sentence_bleu_smoothed(candidate, references) -> float:
         if n >= 2:
             match += 1
             total += 1
-        if total == 0 or match == 0:
+        if match == 0:
             return 0.0
         log_precision += math.log(match / total) / MAX_ORDER
     bp = 1.0 if len(cand) > ref_len else math.exp(1.0 - ref_len / max(len(cand), 1))
@@ -124,14 +124,7 @@ class EvalReport:
     records: list[dict]
 
     def summary(self) -> dict:
-        return {
-            "acc": self.acc,
-            "bleu": self.bleu,
-            "g2": self.g2,
-            "h2": self.h2,
-            "n_sentences": self.n_sentences,
-            "config_hash": self.config_hash,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
 def style_accuracy(outputs: list[Sentence], clf,
@@ -156,13 +149,8 @@ def style_accuracy(outputs: list[Sentence], clf,
 def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]],
                        clf, target: StyleLabel, inputs: list[Sentence] | None = None,
                        ) -> EvalReport:
-    """Score already-loaded outputs against reference sets."""
-    if len(outputs) != len(references):
-        raise LengthMismatchError(
-            f"{len(outputs)} outputs vs {len(references)} reference sets"
-        )
-    if any(not r for r in references):
-        raise MissingReferenceError("every output needs at least one reference")
+    """Score already-loaded outputs against reference sets; ``corpus_bleu``
+    runs first and refuses a set count unlike the outputs' or an empty set."""
     bleu = corpus_bleu([o.surface for o in outputs],
                        [[r.surface for r in refs] for refs in references])
     acc, p_target = style_accuracy(outputs, clf, target)
@@ -197,15 +185,11 @@ def evaluate(outputs_path, reference_paths, clf, target: StyleLabel,
     outputs = [tokenize(ln) if ln.strip() else Sentence(surface=()) for ln in out_lines]
     if not reference_paths:
         raise MissingReferenceError("no reference files given")
-    columns = []
-    for path in reference_paths:
-        column = read_sentences(path)
-        if len(column) != len(outputs):
-            raise LengthMismatchError(
-                f"{path} has {len(column)} lines, outputs have {len(outputs)}"
-            )
-        columns.append(column)
-    references = [[col[i] for col in columns] for i in range(len(outputs))]
+    references = read_references(reference_paths)
+    if len(references) != len(outputs):
+        raise LengthMismatchError(
+            f"{reference_paths[0]} has {len(references)} lines, outputs have {len(outputs)}"
+        )
     inputs = None
     if inputs_path is not None:
         inputs = read_sentences(inputs_path)

@@ -187,7 +187,7 @@ class Seq2Seq:
             if rng is None:
                 chosen = logits.argmax(axis=1)
             else:
-                probs = ad.softmax_values(logits / temperature if temperature != 1.0 else logits)
+                probs = ad.softmax_values(logits / temperature)
                 u = rng.random(rows)[live]  # one draw per row, finished or not
                 chosen = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
                 chosen = np.minimum(chosen, logits.shape[1] - 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualstyle.classifier import ClassifierConfig, TextClassifier, train_classifier
+from dualstyle.classifier import LR, ClassifierConfig, TextClassifier, train_classifier
 from dualstyle.corpus import (
     Sentence,
     StyleCorpus,
@@ -200,7 +200,9 @@ def _reference_forward_backward(params, widths, ids, lengths, labels):
 
 
 def test_classifier_matches_an_einsum_reference_on_a_ragged_batch(small_vocab, monkeypatch):
-    cfg = ClassifierConfig(embed_dim=6, channels=5, grad_clip=1e9, seed=4)
+    # a clip bound no gradient reaches, so the raw gradients reach adam_step
+    monkeypatch.setattr("dualstyle.classifier.GRAD_CLIP", 1e9)
+    cfg = ClassifierConfig(embed_dim=6, channels=5, seed=4)
     clf = TextClassifier(small_vocab, cfg)
     rng = np.random.default_rng(2)
     for p in clf.params.values():
@@ -219,7 +221,7 @@ def test_classifier_matches_an_einsum_reference_on_a_ragged_batch(small_vocab, m
     seen = {}
     monkeypatch.setattr("dualstyle.classifier.adam_step",
                         lambda params, grads, opt: seen.update(grads))
-    clf.train_batch(sents, labels, AdamState(lr=cfg.lr))
+    clf.train_batch(sents, labels, AdamState(lr=LR))
     assert sorted(seen) == sorted(want)
     for name, g in want.items():
         assert np.abs(seen[name] - g).max() < 1e-12, name

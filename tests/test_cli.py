@@ -1,4 +1,5 @@
 import builtins
+import inspect
 import io
 import json
 from pathlib import Path
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from dualstyle import cli
-from dualstyle.corpus import EOS, epoch_batches
+from dualstyle.classifier import ClassifierConfig
+from dualstyle.corpus import EOS, SyntheticTaskSpec, build_vocab, epoch_batches
 from dualstyle.dualrl import TrainConfig, evaluate_dev
 from dualstyle.errors import DualStyleError
-from dualstyle.optim import AdamState
+from dualstyle.optim import AdamState, clip_global_norm
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
 from dualstyle.seq2seq import Seq2Seq
 
@@ -88,6 +90,14 @@ def test_evaluate_rejects_unknown_target_style(eos_first_run, capsys):
     assert cli.main(_evaluate_args(eos_first_run, ref_path, "bogus")) == 1
     err = capsys.readouterr().err
     assert "DualStyleError" in err and "'negative'" in err and "'positive'" in err
+
+
+def test_evaluate_reports_an_os_error_as_an_error_line(eos_first_run, capsys):
+    # "ref0.txt," also names "", and Path("") is the current directory
+    args = _evaluate_args(eos_first_run, eos_first_run["ref_path"], "positive")
+    args[args.index("--refs") + 1] += ","
+    assert cli.main(args) == 1
+    assert "error=IsADirectoryError detail=" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -217,11 +227,41 @@ def test_train_refuses_settings_that_crash_or_corrupt_a_run_before_writing(tmp_p
     run_dir = tmp_path / "run"
     saved = {name: (run_dir / name).read_bytes() for name in ("config.json", "events.jsonl")}
     for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"p0": 0},
-                {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0}):
+                {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0},
+                {"patience": 0}):
         capsys.readouterr()
         assert run(["train"], **bad) == 1, bad
         assert "error=ValueError detail=" in capsys.readouterr().err, bad
         assert {name: (run_dir / name).read_bytes() for name in saved} == saved, bad
+
+
+def test_pretrain_classifier_refuses_a_classifier_that_cannot_train(tmp_path, capsys):
+    # at 0 epochs an untrained classifier would become the style reward of train
+    run = _trained_run(tmp_path, commands=("synth",))
+    capsys.readouterr()
+    assert run(["pretrain-classifier"], cls_epochs=0) == 1
+    assert "error=ValueError detail=" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_defaults_written_twice_agree():
+    # every library default is written a second time in cli.DEFAULTS
+    d = cli.DEFAULTS
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert cli.train_config(d) == TrainConfig()
+    assert cli.task_spec(d) == SyntheticTaskSpec()
+    assert ClassifierConfig(embed_dim=d["cls_embed_dim"], channels=d["cls_channels"],
+                            epochs=d["cls_epochs"], seed=d["seed"]) == ClassifierConfig()
+    assert (default(Seq2Seq, "embed_dim"), default(Seq2Seq, "hidden_dim")) == \
+        (d["embed_dim"], d["hidden_dim"])
+    assert (default(build_style_lexicon, "lam"), default(build_style_lexicon, "gamma")) == \
+        (d["salience_lambda"], d["salience_gamma"])
+    assert default(build_vocab, "min_count") == d["min_count"]
+    assert default(Seq2Seq.mle_step, "grad_clip") == d["grad_clip"]
+    assert default(clip_global_norm, "max_norm") == d["grad_clip"]
 
 
 def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):

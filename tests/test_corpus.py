@@ -18,11 +18,12 @@ from dualstyle.corpus import (
     load_corpus,
     load_references,
     pad_batch,
+    read_references,
     save_corpus,
     save_references,
     tokenize,
 )
-from dualstyle.errors import EmptyLineError, InvalidSpecError
+from dualstyle.errors import EmptyLineError, InvalidSpecError, LengthMismatchError
 
 
 def test_tokenize_whitespace_split():
@@ -173,6 +174,15 @@ def test_corpus_files_round_trip(tmp_path):
     refs = load_references(tmp_path, corpus.label_x.name, "dev")
     assert len(refs) == 8
     assert refs[0][0].surface == gold.refs[(corpus.label_x.name, "dev")][0][0].surface
+
+    ref0, ref1 = tmp_path / f"{corpus.label_x.name}.dev.ref0.txt", tmp_path / "other.txt"
+    lines = ref0.read_text(encoding="utf-8").splitlines()
+    ref1.write_text("".join(line + "\n" for line in reversed(lines)), encoding="utf-8")
+    assert [[r.text() for r in rr] for rr in read_references([ref0, ref1])] == \
+        [[a, b] for a, b in zip(lines, reversed(lines))]
+    ref1.write_text("".join(line + "\n" for line in lines[:-1]), encoding="utf-8")
+    with pytest.raises(LengthMismatchError, match=re.escape(f"{ref1} has 7 lines")):
+        read_references([ref0, ref1])
 
 
 def test_load_corpus_rejects_a_blank_line_naming_its_place(tmp_path):

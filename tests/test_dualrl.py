@@ -72,10 +72,11 @@ def test_schedule_validation():
 @pytest.mark.parametrize("bad", [
     {"ablation": "rl"}, {"dual_lr": 0.0}, {"temperature": 0.0}, {"temperature": -1.0},
     {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"dual_batch": 0}, {"pretrain_batch": 0},
-    {"max_decode_len": 0}])
+    {"max_decode_len": 0}, {"patience": 0}, {"patience": -1}])
 def test_train_config_validation(bad):
     # temperature 0 samples all-PAD ids, a clip bound of 0 zeroes every update and a
-    # negative one reverses it, a zero batch or decode cap crashes mid-run
+    # negative one reverses it, a zero batch or decode cap crashes mid-run, and a
+    # patience below 1 stops every run after its first epoch
     with pytest.raises(ValueError):
         TrainConfig(**bad)
 
