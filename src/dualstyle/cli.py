@@ -6,6 +6,14 @@ Configuration is a flat JSON file; command-line flags override file values,
 and the fully resolved config is written into the run directory before any
 training starts.  ``train --resume`` refuses a config that differs from the
 saved one in anything but the iteration and epoch budgets.
+
+Each default is written once.  A key that fills a field of a library config
+object (``SyntheticTaskSpec``, ``TrainConfig``, ``RewardConfig``,
+``AnnealSchedule``, ``ClassifierConfig``) takes that field's default and
+shares its name, unless ``RENAMED`` names the field; ``seed`` fills three of
+them.  Only the keys that feed function parameters (model sizes, vocabulary
+and lexicon settings) and the two paths are written out in ``DEFAULTS``.
+A config file's values must have their defaults' JSON types.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dualrl, pseudo
@@ -45,49 +54,42 @@ from .evaluation import evaluate
 from .rewards import RewardConfig
 from .seq2seq import Seq2Seq
 
+# Config keys named otherwise than the field they fill: (config object, field) -> key.
+RENAMED = {
+    (ClassifierConfig, "embed_dim"): "cls_embed_dim",
+    (ClassifierConfig, "channels"): "cls_channels",
+    (ClassifierConfig, "epochs"): "cls_epochs",
+    (AnnealSchedule, "rate"): "anneal_rate",
+    (AnnealSchedule, "gap"): "anneal_gap",
+}
+
+# Fields that no config key fills: the two nested configs and the
+# classifier's filter widths.
+UNKEYED = {(TrainConfig, "reward"), (TrainConfig, "schedule"), (ClassifierConfig, "widths")}
+
+
+def _keys(cls) -> dict[str, str]:
+    """Config key -> field name for each field of ``cls`` that a key fills."""
+    return {RENAMED.get((cls, f.name), f.name): f.name for f in fields(cls)
+            if (cls, f.name) not in UNKEYED}
+
+
+def _build(cls, cfg: dict, **nested):
+    """``cls`` with every keyed field taken from ``cfg``."""
+    return cls(**nested, **{field: cfg[key] for key, field in _keys(cls).items()})
+
+
 DEFAULTS: dict = {
-    # synthetic task
-    "kind": "lexicon_swap",
-    "seed": 0,
-    "vocab_size": 200,
-    "max_len": 12,
-    "pair_count": 14,
-    "train_per_style": 4000,
-    "dev_per_style": 400,
-    "test_per_style": 400,
-    "rare_pair_count": 4,
-    "rare_weight": 0.44,
-    "style_x": "negative",
-    "style_y": "positive",
-    # vocabulary / lexicon
+    **{key: getattr(default, field)
+       for default in (SyntheticTaskSpec(), TrainConfig(), RewardConfig(),
+                       AnnealSchedule(), ClassifierConfig())
+       for key, field in _keys(type(default)).items()},
+    # keys that feed Seq2Seq, build_vocab and build_style_lexicon
+    "embed_dim": 300,
+    "hidden_dim": 256,
     "min_count": 1,
     "salience_lambda": 1.0,
     "salience_gamma": 5.0,
-    # models
-    "embed_dim": 300,
-    "hidden_dim": 256,
-    "cls_embed_dim": 64,
-    "cls_channels": 32,
-    "cls_epochs": 8,
-    # training
-    "pretrain_epochs": 5,
-    "max_dual_epochs": 20,
-    "max_iterations": None,
-    "pretrain_lr": 1e-3,
-    "dual_lr": 1e-5,
-    "pretrain_batch": 32,
-    "dual_batch": 128,
-    "beta": 0.5,
-    "sample_size": 4,
-    "ablation": "rl_plus_mle",
-    "patience": 1,
-    "grad_clip": 5.0,
-    "p0": 1.0,
-    "p_max": 100.0,
-    "anneal_rate": 1.1,
-    "anneal_gap": 1000.0,
-    "temperature": 1.0,
-    "max_decode_len": 32,
     # paths
     "data_dir": "data",
     "run_dir": "runs/default",
@@ -110,6 +112,10 @@ DESK_PRESET: dict = {
 
 PRESETS = {"desk": DESK_PRESET}
 
+# The types a config-file value may take, by the type of its key's default.
+# No key takes a bool; the one None default, max_iterations, means "no cap".
+FILE_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (int, type(None))}
+
 # The only config keys a resumed run may change: its budgets.
 RESUME_MUTABLE = ("max_dual_epochs", "max_iterations")
 
@@ -123,9 +129,17 @@ def resolve_config(config_path=None, preset: str | None = None,
         cfg.update(PRESETS[preset])
     if config_path:
         file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise DualStyleError("a config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise DualStyleError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            allowed = FILE_TYPES[type(DEFAULTS[key])]
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise DualStyleError(f"config key {key} takes "
+                                     f"{' or '.join(t.__name__ for t in allowed)}, "
+                                     f"not {type(value).__name__}: {value!r}")
         cfg.update(file_cfg)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -134,35 +148,12 @@ def resolve_config(config_path=None, preset: str | None = None,
 
 
 def task_spec(cfg: dict) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        kind=cfg["kind"], vocab_size=cfg["vocab_size"], max_len=cfg["max_len"],
-        pair_count=cfg["pair_count"], seed=cfg["seed"],
-        train_per_style=cfg["train_per_style"], dev_per_style=cfg["dev_per_style"],
-        test_per_style=cfg["test_per_style"], rare_pair_count=cfg["rare_pair_count"],
-        rare_weight=cfg["rare_weight"], style_x_name=cfg["style_x"],
-        style_y_name=cfg["style_y"],
-    )
+    return _build(SyntheticTaskSpec, cfg)
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        pretrain_epochs=cfg["pretrain_epochs"],
-        max_dual_epochs=cfg["max_dual_epochs"],
-        max_iterations=cfg["max_iterations"],
-        pretrain_lr=cfg["pretrain_lr"],
-        dual_lr=cfg["dual_lr"],
-        pretrain_batch=cfg["pretrain_batch"],
-        dual_batch=cfg["dual_batch"],
-        reward=RewardConfig(beta=cfg["beta"], sample_size=cfg["sample_size"]),
-        schedule=AnnealSchedule(p0=cfg["p0"], p_max=cfg["p_max"],
-                                rate=cfg["anneal_rate"], gap=cfg["anneal_gap"]),
-        ablation=cfg["ablation"],
-        patience=cfg["patience"],
-        grad_clip=cfg["grad_clip"],
-        temperature=cfg["temperature"],
-        max_decode_len=cfg["max_decode_len"],
-        seed=cfg["seed"],
-    )
+    return _build(TrainConfig, cfg, reward=_build(RewardConfig, cfg),
+                  schedule=_build(AnnealSchedule, cfg))
 
 
 def write_config(cfg: dict, run_dir) -> None:
@@ -216,17 +207,14 @@ def cmd_synth(cfg: dict) -> None:
     save_corpus(corpus, data_dir)
     save_references(gold.refs, data_dir)
     (data_dir / "task.json").write_text(
-        json.dumps({k: getattr(spec, k) for k in spec.__dataclass_fields__},
-                   sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     n_train = len(corpus.of(corpus.label_x, "train")) + len(corpus.of(corpus.label_y, "train"))
     _log(event="synth", kind=spec.kind, seed=spec.seed, data_dir=data_dir,
          train_sentences=n_train)
 
 
 def cmd_pretrain_classifier(cfg: dict) -> None:
-    cls_cfg = ClassifierConfig(embed_dim=cfg["cls_embed_dim"],
-                               channels=cfg["cls_channels"],
-                               epochs=cfg["cls_epochs"], seed=cfg["seed"])
+    cls_cfg = _build(ClassifierConfig, cfg)
     corpus = load_corpus(cfg["data_dir"], cfg["style_x"], cfg["style_y"])
     run_dir = Path(cfg["run_dir"])
     write_config(cfg, run_dir)

@@ -106,7 +106,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_vocab(sentences, min_count: int = 1) -> Vocabulary:
+def build_vocab(sentences, min_count: int) -> Vocabulary:
     """Shared vocabulary over an iterable of sentences.
 
     Tokens with frequency below ``min_count`` are dropped (they will map to
@@ -216,8 +216,20 @@ class SyntheticTaskSpec:
     test_per_style: int = 400
     rare_pair_count: int = 4
     rare_weight: float = 0.44
-    style_x_name: str = "negative"
-    style_y_name: str = "positive"
+    style_x: str = "negative"
+    style_y: str = "positive"
+
+    def __post_init__(self):
+        if self.kind not in ("lexicon_swap", "casing", "marker"):
+            raise InvalidSpecError(f"unknown synthetic task kind {self.kind!r}")
+        if self.max_len < 6:
+            raise InvalidSpecError("max_len must be at least 6")
+        if not (0 < self.pair_count <= len(_X_WORDS)):
+            raise InvalidSpecError(f"pair_count must be in 1..{len(_X_WORDS)}")
+        if not (0 <= self.rare_pair_count < self.pair_count):
+            raise InvalidSpecError("rare_pair_count must be below pair_count")
+        if min(self.train_per_style, self.dev_per_style, self.test_per_style) <= 0:
+            raise InvalidSpecError("split sizes must be positive")
 
 
 @dataclass
@@ -263,19 +275,6 @@ _TAILS = (
     ("on", "the", "side"),
     ("with", "every", "bite"),
 )
-
-
-def _validate_spec(spec: SyntheticTaskSpec) -> None:
-    if spec.kind not in ("lexicon_swap", "casing", "marker"):
-        raise InvalidSpecError(f"unknown synthetic task kind {spec.kind!r}")
-    if spec.max_len < 6:
-        raise InvalidSpecError("max_len must be at least 6")
-    if not (0 < spec.pair_count <= len(_X_WORDS)):
-        raise InvalidSpecError(f"pair_count must be in 1..{len(_X_WORDS)}")
-    if not (0 <= spec.rare_pair_count < spec.pair_count):
-        raise InvalidSpecError("rare_pair_count must be below pair_count")
-    if min(spec.train_per_style, spec.dev_per_style, spec.test_per_style) <= 0:
-        raise InvalidSpecError("split sizes must be positive")
 
 
 def _frame(rng: np.random.Generator, max_len: int) -> tuple[list[str], int, int]:
@@ -364,7 +363,6 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[StyleCorpus, GoldRefere
     Only dev and test sentences carry references; the train split is
     reference-free, matching the unsupervised training contract.
     """
-    _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     makers = {
         "lexicon_swap": _gen_lexicon_swap,
@@ -373,8 +371,8 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> tuple[StyleCorpus, GoldRefere
     }
     make_sentence, lexicon, x_words, y_words = makers[spec.kind](spec, rng)
 
-    label_x = StyleLabel(0, spec.style_x_name)
-    label_y = StyleLabel(1, spec.style_y_name)
+    label_x = StyleLabel(0, spec.style_x)
+    label_y = StyleLabel(1, spec.style_y)
     sizes = {
         "train": spec.train_per_style,
         "dev": spec.dev_per_style,

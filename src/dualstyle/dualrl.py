@@ -91,8 +91,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
-        if min(self.pretrain_lr, self.dual_lr) <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.pretrain_lr < math.inf and 0 < self.dual_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if not (self.temperature > 0 and self.grad_clip > 0):
             raise ValueError("temperature and grad_clip must be positive")
         if min(self.pretrain_batch, self.dual_batch, self.max_decode_len) < 1:

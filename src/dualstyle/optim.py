@@ -93,7 +93,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             flat_p[lo:hi] -= s1
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm."""
     total = 0.0
     for g in grads.values():

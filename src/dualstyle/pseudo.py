@@ -51,8 +51,7 @@ def salience(ngram_count_own: int, ngram_count_other: int, lam: float) -> float:
     return (ngram_count_own + lam) / (ngram_count_other + lam)
 
 
-def build_style_lexicon(corpus: StyleCorpus, lam: float = 1.0,
-                        gamma: float = 5.0) -> StyleLexicon:
+def build_style_lexicon(corpus: StyleCorpus, lam: float, gamma: float) -> StyleLexicon:
     """Mark n-grams whose salience meets the threshold, per style.
 
     For gamma > 1 the two marked sets are necessarily disjoint since the two

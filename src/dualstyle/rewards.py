@@ -27,7 +27,7 @@ class RewardConfig:
     sample_size: int = 4
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not (self.beta > 0):
             raise ValueError("beta must be positive")
         if self.sample_size < 1:
             raise ValueError("sample_size must be at least 1")

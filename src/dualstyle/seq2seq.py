@@ -49,8 +49,8 @@ MASK_NEG = -1e9  # additive score for padded source positions; exp underflows to
 class Seq2Seq:
     """Single-layer LSTM encoder-decoder with bilinear attention."""
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int = 300,
-                 hidden_dim: int = 256, direction: str = "x2y", seed: int = 0,
+    def __init__(self, vocab: Vocabulary, embed_dim: int, hidden_dim: int,
+                 direction: str = "x2y", seed: int = 0,
                  init_scale: float = 0.08, embed_scale: float = 0.01):
         self.vocab = vocab
         self.embed_dim = embed_dim

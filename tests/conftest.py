@@ -15,7 +15,7 @@ TINY_SPEC = SyntheticTaskSpec(
 @pytest.fixture(scope="session")
 def tiny_task():
     corpus, gold = generate_synthetic(TINY_SPEC)
-    vocab = build_vocab(corpus.all_train())
+    vocab = build_vocab(corpus.all_train(), min_count=1)
     return corpus.numericalize(vocab), gold, vocab
 
 

@@ -121,7 +121,7 @@ def test_identical_corpora_chance_accuracy():
         (corpus.label_x.name, "dev"): same_dev,
         (corpus.label_y.name, "dev"): same_dev,
     })
-    vocab = build_vocab(mirrored.all_train())
+    vocab = build_vocab(mirrored.all_train(), min_count=1)
     mirrored = mirrored.numericalize(vocab)
     _, dev_acc = train_classifier(mirrored, vocab,
                                   ClassifierConfig(embed_dim=12, channels=6, epochs=2, seed=0))

@@ -1,7 +1,7 @@
 import builtins
-import inspect
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +9,12 @@ import pytest
 
 from dualstyle import cli
 from dualstyle.classifier import ClassifierConfig
-from dualstyle.corpus import EOS, SyntheticTaskSpec, build_vocab, epoch_batches
-from dualstyle.dualrl import TrainConfig, evaluate_dev
+from dualstyle.corpus import EOS, SyntheticTaskSpec, epoch_batches
+from dualstyle.dualrl import AnnealSchedule, TrainConfig, evaluate_dev
 from dualstyle.errors import DualStyleError
-from dualstyle.optim import AdamState, clip_global_norm
+from dualstyle.optim import AdamState
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
+from dualstyle.rewards import RewardConfig
 from dualstyle.seq2seq import Seq2Seq
 
 from conftest import DiskFull
@@ -102,11 +103,40 @@ def test_evaluate_reports_an_os_error_as_an_error_line(eos_first_run, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"seed": 3, "log_rewards": True}))
-    with pytest.raises(DualStyleError, match="log_rewards"):
-        cli.resolve_config(path)
-    path.write_text(json.dumps({"seed": 3}))
-    assert cli.resolve_config(path)["seed"] == 3
+    # a value must have its default's JSON type: an int key never takes a bool,
+    # a float key takes an int, and max_iterations takes an int or null
+    for bad, named in (({"seed": 3, "log_rewards": True}, "log_rewards"),
+                       ({"dual_batch": "32"}, "dual_batch"), ({"cls_epochs": "2"}, "cls_epochs"),
+                       ({"seed": True}, "seed"), ({"cls_epochs": 2.0}, "cls_epochs"),
+                       ({"dual_lr": "1e-3"}, "dual_lr"), ({"beta": None}, "beta"),
+                       ({"style_x": 1}, "style_x"), ({"max_iterations": 1.5}, "max_iterations"),
+                       ({"max_iterations": "5"}, "max_iterations"), (3, "JSON object"),
+                       ([["seed", 3]], "JSON object")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DualStyleError, match=named):
+            cli.resolve_config(path)
+    path.write_text(json.dumps({"seed": 3, "dual_lr": 1, "max_iterations": None}))
+    cfg = cli.resolve_config(path, preset="desk")
+    assert (cfg["seed"], cfg["dual_lr"], cfg["max_iterations"]) == (3, 1, None)
+    path.write_text(json.dumps({"max_iterations": 5}))
+    assert cli.resolve_config(path)["max_iterations"] == 5
+
+
+def test_a_config_value_of_the_wrong_type_is_an_error_line(tmp_path, capsys):
+    # unchecked, both died with a TypeError traceback, the second after writing
+    # config.json and vocab.txt
+    run = _trained_run(tmp_path, commands=("synth",))
+    bad = ((["train"], {"dual_batch": "32"}), (["pretrain-classifier"], {"cls_epochs": "2"}))
+    for command, change in bad:
+        capsys.readouterr()
+        assert run(command, **change) == 1, change
+        assert "error=DualStyleError detail=config key " in capsys.readouterr().err, change
+    assert not (tmp_path / "run").exists()
+    assert run(["pretrain-classifier"]) == 0
+    saved = (tmp_path / "run" / "config.json").read_bytes()
+    for command, change in bad:
+        assert run(command, **change) == 1, change
+        assert (tmp_path / "run" / "config.json").read_bytes() == saved, change
 
 
 def _trained_run(tmp_path, commands=("synth", "pretrain-classifier", "pretrain", "train")):
@@ -228,7 +258,7 @@ def test_train_refuses_settings_that_crash_or_corrupt_a_run_before_writing(tmp_p
     saved = {name: (run_dir / name).read_bytes() for name in ("config.json", "events.jsonl")}
     for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"p0": 0},
                 {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0},
-                {"patience": 0}):
+                {"patience": 0}, {"dual_lr": float("nan")}):
         capsys.readouterr()
         assert run(["train"], **bad) == 1, bad
         assert "error=ValueError detail=" in capsys.readouterr().err, bad
@@ -244,24 +274,56 @@ def test_pretrain_classifier_refuses_a_classifier_that_cannot_train(tmp_path, ca
     assert not (tmp_path / "run").exists()
 
 
-def test_defaults_written_twice_agree():
-    # every library default is written a second time in cli.DEFAULTS
+# A distinct value, none of them a default, for every key that fills a field
+# of a library config object.
+ROUTED = {
+    "kind": "marker", "seed": 7, "vocab_size": 201, "max_len": 13, "pair_count": 11,
+    "train_per_style": 4001, "dev_per_style": 401, "test_per_style": 402,
+    "rare_pair_count": 3, "rare_weight": 0.45, "style_x": "sad", "style_y": "glad",
+    "pretrain_epochs": 6, "max_dual_epochs": 21, "max_iterations": 161, "pretrain_lr": 2e-3,
+    "dual_lr": 3e-5, "pretrain_batch": 33, "dual_batch": 129, "ablation": "rl_only",
+    "patience": 2, "grad_clip": 5.5, "temperature": 0.9, "max_decode_len": 31,
+    "beta": 0.6, "sample_size": 5, "p0": 1.5, "p_max": 99.0, "anneal_rate": 1.2,
+    "anneal_gap": 999.0, "cls_embed_dim": 65, "cls_channels": 34, "cls_epochs": 9,
+}
+
+
+def test_each_config_key_fills_exactly_its_own_field(tmp_path, monkeypatch):
     d = cli.DEFAULTS
+    assert set(ROUTED) == set(d) - {"embed_dim", "hidden_dim", "min_count", "salience_lambda",
+                                    "salience_gamma", "data_dir", "run_dir"}
+    assert all(value != d[key] for key, value in ROUTED.items())
+    assert len({repr(value) for value in ROUTED.values()}) == len(ROUTED)
+    cfg = {**d, **ROUTED}
 
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
+    def same_name(cls):
+        return {f.name: ROUTED[f.name] for f in fields(cls) if f.name in ROUTED}
 
-    assert cli.train_config(d) == TrainConfig()
-    assert cli.task_spec(d) == SyntheticTaskSpec()
-    assert ClassifierConfig(embed_dim=d["cls_embed_dim"], channels=d["cls_channels"],
-                            epochs=d["cls_epochs"], seed=d["seed"]) == ClassifierConfig()
-    assert (default(Seq2Seq, "embed_dim"), default(Seq2Seq, "hidden_dim")) == \
-        (d["embed_dim"], d["hidden_dim"])
-    assert (default(build_style_lexicon, "lam"), default(build_style_lexicon, "gamma")) == \
-        (d["salience_lambda"], d["salience_gamma"])
-    assert default(build_vocab, "min_count") == d["min_count"]
-    assert default(Seq2Seq.mle_step, "grad_clip") == d["grad_clip"]
-    assert default(clip_global_norm, "max_norm") == d["grad_clip"]
+    assert cli.task_spec(cfg) == SyntheticTaskSpec(**same_name(SyntheticTaskSpec))
+    assert cli.train_config(cfg) == TrainConfig(
+        **same_name(TrainConfig), reward=RewardConfig(**same_name(RewardConfig)),
+        schedule=AnnealSchedule(**same_name(AnnealSchedule), rate=ROUTED["anneal_rate"],
+                                gap=ROUTED["anneal_gap"]))
+
+    class Built(Exception):
+        pass
+
+    def capture(corpus, vocab, cls_cfg):
+        raise Built(cls_cfg)
+
+    _toy_data(tmp_path)
+    monkeypatch.setattr(cli, "train_classifier", capture)
+    with pytest.raises(Built) as built:
+        cli.cmd_pretrain_classifier({**cfg, "style_x": d["style_x"], "style_y": d["style_y"],
+                                     "data_dir": str(tmp_path / "data"),
+                                     "run_dir": str(tmp_path / "run")})
+    assert built.value.args[0] == ClassifierConfig(
+        embed_dim=ROUTED["cls_embed_dim"], channels=ROUTED["cls_channels"],
+        epochs=ROUTED["cls_epochs"], seed=ROUTED["seed"])
+
+    for key, value in cli.DESK_PRESET.items():
+        assert key in d and not isinstance(value, bool), key
+        assert isinstance(value, cli.FILE_TYPES[type(d[key])]), key
 
 
 def test_ablate_trains_a_copy_of_the_run_under_the_named_mode(tmp_path):

@@ -54,22 +54,22 @@ def test_build_vocab_min_count():
 
 def test_build_vocab_deterministic_order():
     sents = [tokenize("c a a b b z")]
-    v1 = build_vocab(sents)
-    v2 = build_vocab(sents)
+    v1 = build_vocab(sents, min_count=1)
+    v2 = build_vocab(sents, min_count=1)
     assert v1.id_to_token == v2.id_to_token
     # frequency desc, then lexicographic
     assert v1.id_to_token[4:] == ["a", "b", "c", "z"]
 
 
 def test_to_ids_appends_eos_and_round_trips():
-    vocab = build_vocab([tokenize("good food")])
+    vocab = build_vocab([tokenize("good food")], min_count=1)
     s = vocab.to_ids(tokenize("good food"))
     assert s.ids[-1] == EOS
     assert [vocab.token_of(i) for i in s.ids[:-1]] == ["good", "food"]
 
 
 def test_oov_maps_to_unk():
-    vocab = build_vocab([tokenize("good food")])
+    vocab = build_vocab([tokenize("good food")], min_count=1)
     s = vocab.to_ids(tokenize("good pizza"))
     assert s.ids[1] == UNK
 
@@ -77,7 +77,7 @@ def test_oov_maps_to_unk():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12))
 def test_round_trip_property(tokens):
-    vocab = build_vocab([tokenize("a b c d e f g")])
+    vocab = build_vocab([tokenize("a b c d e f g")], min_count=1)
     s = vocab.to_ids(Sentence(surface=tuple(tokens)))
     assert tuple(vocab.token_of(i) for i in s.ids[:-1]) == tuple(tokens)
     assert all(i >= 4 for i in s.ids[:-1])  # reserved ids never produced

@@ -72,11 +72,13 @@ def test_schedule_validation():
 @pytest.mark.parametrize("bad", [
     {"ablation": "rl"}, {"dual_lr": 0.0}, {"temperature": 0.0}, {"temperature": -1.0},
     {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"dual_batch": 0}, {"pretrain_batch": 0},
-    {"max_decode_len": 0}, {"patience": 0}, {"patience": -1}])
+    {"max_decode_len": 0}, {"patience": 0}, {"patience": -1}, {"dual_lr": math.nan},
+    {"pretrain_lr": math.nan}, {"dual_lr": math.inf}, {"pretrain_lr": math.inf}])
 def test_train_config_validation(bad):
     # temperature 0 samples all-PAD ids, a clip bound of 0 zeroes every update and a
-    # negative one reverses it, a zero batch or decode cap crashes mid-run, and a
-    # patience below 1 stops every run after its first epoch
+    # negative one reverses it, a zero batch or decode cap crashes mid-run, a
+    # patience below 1 stops every run after its first epoch, and a learning
+    # rate that is not finite makes the weights NaN at the first update
     with pytest.raises(ValueError):
         TrainConfig(**bad)
 

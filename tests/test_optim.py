@@ -67,7 +67,7 @@ def test_clip_global_norm():
 
 def test_clip_rejects_non_finite():
     with pytest.raises(NaNDetectedError):
-        clip_global_norm({"a": np.array([np.nan])})
+        clip_global_norm({"a": np.array([np.nan])}, max_norm=5.0)
 
 
 def _adam_reference(params, grads, state):

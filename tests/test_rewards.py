@@ -185,7 +185,8 @@ def test_combined_rewards_score_each_distinct_pair_once(small_vocab, monkeypatch
 
 
 def test_reward_config_validation():
-    with pytest.raises(ValueError):
-        RewardConfig(beta=0.0)
+    for beta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            RewardConfig(beta=beta)
     with pytest.raises(ValueError):
         RewardConfig(sample_size=0)
