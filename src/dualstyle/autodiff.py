@@ -7,6 +7,10 @@ biases and scale factors are cast to the dtype of the values they act on, so
 they never widen a float32 graph (under NumPy 2 promotion a float64 array or
 NumPy scalar would; a Python float does not).
 
+Every op input that carries a gradient is a ``Tensor`` (a value, a gradient
+slot and, once taped, its backward rule ``vjp``), and on backward every one
+an op read receives its share.  Index arrays, masks and score biases are not.
+
 A ``Tape`` records every non-leaf node in creation order, which is already a
 topological order, so the backward pass is a single reversed sweep that
 visits each node exactly once.  Ops run with no tape active return plain
@@ -41,49 +45,29 @@ class Tape:
 class Tensor:
     """Array value plus a gradient slot and, when taped, a backward rule."""
 
-    __slots__ = ("value", "grad", "parents", "vjp", "constant")
+    __slots__ = ("value", "grad", "vjp")
 
-    def __init__(self, value, parents=(), vjp=None, constant=False):
+    def __init__(self, value, vjp=None):
         self.value = value
         self.grad = None
-        self.parents = parents
         self.vjp = vjp
-        self.constant = constant
-
-
-def _floating(value) -> np.ndarray:
-    """``value`` as an array that keeps a float dtype; any other becomes float64."""
-    arr = np.asarray(value)
-    return arr if arr.dtype.kind == "f" else arr.astype(np.float64)
 
 
 def parameter(value) -> Tensor:
-    """A trainable leaf; gradients accumulate into ``.grad`` on backward."""
-    return Tensor(_floating(value))
+    """A leaf whose gradients accumulate into ``.grad``; non-float values become float64."""
+    arr = np.asarray(value)
+    return Tensor(arr if arr.dtype.kind == "f" else arr.astype(np.float64))
 
 
-def constant(value) -> Tensor:
-    """A non-trainable leaf; backward never allocates a gradient for it."""
-    return Tensor(_floating(value), constant=True)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return constant(x)
-
-
-def _record(value, parents, vjp) -> Tensor:
+def _record(value, vjp) -> Tensor:
     if _TAPE_STACK:
-        node = Tensor(value, parents=parents, vjp=vjp)
+        node = Tensor(value, vjp)
         _TAPE_STACK[-1].nodes.append(node)
         return node
     return Tensor(value)
 
 
 def _acc(t: Tensor, g):
-    if t.constant:
-        return
     if t.grad is None:
         # Stored, not copied: ``g`` must be an array no one else holds, since
         # later contributions add into it.  An op whose gradient is a view of
@@ -101,7 +85,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise NaNDetectedError("loss is not finite")
     loss.grad = np.ones_like(loss.value)
     for node in reversed(tape.nodes):
-        if node.grad is None or node.vjp is None:
+        if node.grad is None:
             continue
         node.vjp(node.grad)
 
@@ -128,35 +112,30 @@ def log_softmax_values(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     out = a.value * c
 
     def vjp(g):
         _acc(a, g * c)
 
-    return _record(out, (a,), vjp)
+    return _record(out, vjp)
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
     out = np.maximum(a.value, 0.0)
 
     def vjp(g):
         _acc(a, g * (a.value > 0))
 
-    return _record(out, (a,), vjp)
+    return _record(out, vjp)
 
 
 def embedding(table, ids) -> Tensor:
     """Row lookup; ids is an integer array, not a tensor."""
-    table = _as_tensor(table)
     ids = np.asarray(ids)
     out = table.value[ids]
 
     def vjp(g):
-        if table.constant:
-            return
         if table.grad is None:
             table.grad = np.zeros_like(table.value)
         flat_ids = ids.reshape(-1)
@@ -166,56 +145,48 @@ def embedding(table, ids) -> Tensor:
         onehot[np.arange(flat_ids.size), flat_ids] = 1.0
         table.grad += onehot.T @ flat_g
 
-    return _record(out, (table,), vjp)
+    return _record(out, vjp)
 
 
 def concat(parts, axis: int = -1) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
 
     def vjp(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if not p.constant:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _acc(p, g[tuple(idx)].copy())
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            _acc(p, g[tuple(idx)].copy())
 
-    return _record(out, tuple(parts), vjp)
+    return _record(out, vjp)
 
 
 def take(a, index) -> Tensor:
     """``a[index]`` for slices, integers, boolean masks, or integer arrays with
     no repeated element (the backward adds into ``a[index]`` without
     accumulating repeats)."""
-    a = _as_tensor(a)
     out = a.value[index]
 
     def vjp(g):
-        if a.constant:
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
         a.grad[index] += g
 
-    return _record(out, (a,), vjp)
+    return _record(out, vjp)
 
 
 def repeat_rows(a, k: int) -> Tensor:
     """Tile each row k times: (B, ...) -> (B*k, ...)."""
-    a = _as_tensor(a)
     out = np.repeat(a.value, k, axis=0)
 
     def vjp(g):
         _acc(a, g.reshape((a.value.shape[0], k) + a.value.shape[1:]).sum(axis=1))
 
-    return _record(out, (a,), vjp)
+    return _record(out, vjp)
 
 
 def masked_sum(a, mask) -> Tensor:
     """Sum of a * mask; the mask is a constant array of weights, shaped as ``a``."""
-    a = _as_tensor(a)
     mask = np.asarray(mask, dtype=a.value.dtype)
     if mask.shape != a.value.shape:
         raise ValueError(f"mask shape {mask.shape} differs from input shape {a.value.shape}")
@@ -224,7 +195,7 @@ def masked_sum(a, mask) -> Tensor:
     def vjp(g):
         _acc(a, g * mask)
 
-    return _record(out, (a,), vjp)
+    return _record(out, vjp)
 
 
 def cross_entropy(logits, targets) -> Tensor:
@@ -233,7 +204,6 @@ def cross_entropy(logits, targets) -> Tensor:
     ``logits`` is (..., V) and ``targets`` the matching (...) int array; the
     output has the targets' shape.
     """
-    logits = _as_tensor(logits)
     targets = np.asarray(targets)
     logp = log_softmax_values(logits.value).reshape(targets.size, -1)
     rows = np.arange(targets.size)
@@ -247,7 +217,7 @@ def cross_entropy(logits, targets) -> Tensor:
         d[rows, flat_t] -= flat_g
         _acc(logits, d.reshape(logits.value.shape))
 
-    return _record(out, (logits,), vjp)
+    return _record(out, vjp)
 
 
 def conv1d(x, filters, bias) -> Tensor:
@@ -261,7 +231,6 @@ def conv1d(x, filters, bias) -> Tensor:
     block shifted forward j steps, so the filter gradient (x rows transposed
     times it) and ``dx`` (it times the taps transposed) are one GEMM each.
     """
-    x, filters, bias = _as_tensor(x), _as_tensor(filters), _as_tensor(bias)
     w, emb, ch = filters.value.shape
     t_out = x.value.shape[1] - w + 1
     taps = filters.value.transpose(1, 0, 2).reshape(emb, w * ch)
@@ -271,20 +240,16 @@ def conv1d(x, filters, bias) -> Tensor:
         out += per_tap[:, j: j + t_out, j * ch: (j + 1) * ch]
 
     def vjp(g):
-        if not bias.constant:
-            _acc(bias, g.sum(axis=(0, 1)))
+        _acc(bias, g.sum(axis=(0, 1)))
         shifted = np.zeros(x.value.shape[:2] + (w * ch,), dtype=g.dtype)
         for j in range(w):
             shifted[:, j: j + t_out, j * ch: (j + 1) * ch] = g
         rows = shifted.reshape(-1, w * ch)
-        if not filters.constant:
-            d_taps = x.value.reshape(-1, emb).T @ rows  # (E, w*C)
-            _acc(filters, np.ascontiguousarray(
-                d_taps.reshape(emb, w, ch).transpose(1, 0, 2)))
-        if not x.constant:
-            _acc(x, (rows @ taps.T).reshape(x.value.shape))
+        d_taps = x.value.reshape(-1, emb).T @ rows  # (E, w*C)
+        _acc(filters, np.ascontiguousarray(d_taps.reshape(emb, w, ch).transpose(1, 0, 2)))
+        _acc(x, (rows @ taps.T).reshape(x.value.shape))
 
-    return _record(out, (x, filters, bias), vjp)
+    return _record(out, vjp)
 
 
 def max_over_time(x, valid_mask) -> Tensor:
@@ -295,28 +260,26 @@ def max_over_time(x, valid_mask) -> Tensor:
     channel) gradient to its one argmax step with a plain indexed ``+=``,
     which is exact because no (row, step, channel) index repeats.
     """
-    x = _as_tensor(x)
     valid = np.asarray(valid_mask, dtype=bool)
     masked = np.where(valid[:, :, None], x.value, -np.inf)
     arg = masked.argmax(axis=1)  # (B, C)
     out = np.take_along_axis(x.value, arg[:, None, :], axis=1)[:, 0, :]
 
     def vjp(g):
-        if x.constant:
-            return
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
         b_idx = np.arange(x.value.shape[0])[:, None]
         c_idx = np.arange(x.value.shape[2])[None, :]
         x.grad[b_idx, arg, c_idx] += g
 
-    return _record(out, (x,), vjp)
+    return _record(out, vjp)
 
 
 # ---------------------------------------------------------------------------
 # fused primitives
 #
-# Each fuses a whole layer into one node with a hand-written backward rule.
+# Each fuses a whole layer into one node with a hand-written backward rule
+# that, like every op's, gives each of its ``Tensor`` inputs a gradient.
 # ``grad_check`` covers every one of them like any primitive
 # (tests/test_autodiff.py), and a plain-numpy forward of the whole model
 # checks their values (``test_teacher_forced_logits_match_per_row_reference``
@@ -336,19 +299,17 @@ def max_over_time(x, valid_mask) -> Tensor:
 
 def affine(a, w, b) -> Tensor:
     """a @ w + b in one node."""
-    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
     out = _matmul_rows(a.value, w.value)
     out += b.value
 
     def vjp(g):
         _affine_vjp(a, w, b, g)
 
-    return _record(out, (a, w, b), vjp)
+    return _record(out, vjp)
 
 
 def tanh_affine(a, w, b) -> Tensor:
     """tanh(a @ w + b) in one node."""
-    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
     out = _matmul_rows(a.value, w.value)
     out += b.value
     np.tanh(out, out=out)
@@ -356,7 +317,7 @@ def tanh_affine(a, w, b) -> Tensor:
     def vjp(g):
         _affine_vjp(a, w, b, g * (1.0 - out * out))
 
-    return _record(out, (a, w, b), vjp)
+    return _record(out, vjp)
 
 
 def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -370,12 +331,9 @@ def _matmul_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _affine_vjp(a: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
     """Backward of z = a @ w + b with all leading axes of ``a`` as rows."""
     gz_rows = gz.reshape(-1, gz.shape[-1])
-    if not a.constant:
-        _acc(a, _matmul_rows(gz, w.value.T))
-    if not w.constant:
-        _acc(w, a.value.reshape(-1, a.value.shape[-1]).T @ gz_rows)
-    if not b.constant:
-        _acc(b, gz_rows.sum(axis=0))
+    _acc(a, _matmul_rows(gz, w.value.T))
+    _acc(w, a.value.reshape(-1, a.value.shape[-1]).T @ gz_rows)
+    _acc(b, gz_rows.sum(axis=0))
 
 
 def lstm_cell(xw, index, hc, wh) -> Tensor:
@@ -385,24 +343,25 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
     ``x @ W_x + b`` is computed once per distinct input outside this op:
     ``xw`` is that (U, 4H) table and ``index`` the (B, T) int array naming
     the row that feeds each sequence at each step.  ``hc`` is the initial
-    state [h | c] of shape (B, 2H); the output stacks the state after every
-    step, (B, T, 2H).  Gate order in the preactivation is (input, forget,
-    output, candidate).  Every step of every row is computed: for ragged
-    rows the caller reads each row's state at its last real step and gives
-    the padded steps' outputs no gradient.
+    state [h | c] of shape (B, 2H), or ``None`` for zeros that take no
+    gradient; the output stacks the state after every step, (B, T, 2H).
+    Gate order in the preactivation is (input, forget, output, candidate).
+    Every step of every row is computed: for ragged rows the caller reads
+    each row's state at its last real step and gives the padded steps'
+    outputs no gradient.
     """
-    xw, hc, wh = (_as_tensor(t) for t in (xw, hc, wh))
     idx = np.asarray(index)
     batch, steps = idx.shape
-    hd = hc.value.shape[1] // 2
+    hd = wh.value.shape[0]
     dtype = xw.value.dtype
+    h0 = np.zeros((batch, 2 * hd), dtype=dtype) if hc is None else hc.value
     out = np.empty((batch, steps, 2 * hd), dtype=dtype)
     # Activations are kept for the backward only while a tape records.
     taped = bool(_TAPE_STACK)
     if taped:
         acts = np.empty((batch, steps, 4 * hd), dtype=dtype)
         tcs = np.empty((batch, steps, hd), dtype=dtype)
-    prev = hc.value
+    prev = h0
     for t in range(steps):
         # gathered per step, so no (B, T, 4H) preactivation array is built
         gates = xw.value[idx[:, t]]
@@ -429,7 +388,7 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
         for t in reversed(range(steps)):
             gi, gf, go, gu = (acts[:, t, k * hd: (k + 1) * hd] for k in range(4))
             tc = tcs[:, t]
-            c_prev = hc.value[:, hd:] if t == 0 else out[:, t - 1, hd:]
+            c_prev = h0[:, hd:] if t == 0 else out[:, t - 1, hd:]
             dh = g[:, t, :hd] + dh_next
             dc_out = g[:, t, hd:] + dc_next
             dc = 1.0 - tc * tc
@@ -444,24 +403,22 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
             dg[:, 2 * hd: 3 * hd] *= go * (1.0 - go)
             np.multiply(dc, gi, out=dg[:, 3 * hd:])
             dg[:, 3 * hd:] *= 1.0 - gu * gu
-            if t == 0 and hc.constant:
+            if t == 0 and hc is None:
                 break
             dh_next = dg @ wh.value.T
             dc_next = dc * gf
         rows = dgates.reshape(batch * steps, 4 * hd)
-        if not xw.constant:
-            # scatter-add of every step's gate gradient into its xw row, as
-            # one (U, B*T) @ (B*T, 4H) one-hot GEMM
-            onehot = np.zeros((xw.value.shape[0], batch * steps), dtype=dtype)
-            onehot[idx.reshape(-1), np.arange(batch * steps)] = 1.0
-            _acc(xw, onehot @ rows)
-        if not hc.constant:
+        # scatter-add of every step's gate gradient into its xw row, as one
+        # (U, B*T) @ (B*T, 4H) one-hot GEMM
+        onehot = np.zeros((xw.value.shape[0], batch * steps), dtype=dtype)
+        onehot[idx.reshape(-1), np.arange(batch * steps)] = 1.0
+        _acc(xw, onehot @ rows)
+        if hc is not None:
             _acc(hc, np.concatenate([dh_next, dc_next], axis=1))
-        if not wh.constant:
-            h_prev = np.concatenate([hc.value[:, None, :hd], out[:, :-1, :hd]], axis=1)
-            _acc(wh, h_prev.reshape(batch * steps, hd).T @ rows)
+        h_prev = np.concatenate([h0[:, None, :hd], out[:, :-1, :hd]], axis=1)
+        _acc(wh, h_prev.reshape(batch * steps, hd).T @ rows)
 
-    return _record(out, (xw, hc, wh), vjp)
+    return _record(out, vjp)
 
 
 def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
@@ -471,7 +428,6 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
     constant (B, T) array carrying the padding mask.  Returns the (B, Tq, H)
     context vectors.
     """
-    query, keys, wa = _as_tensor(query), _as_tensor(keys), _as_tensor(wa)
     bias = np.asarray(score_bias, dtype=keys.value.dtype)[:, None, :]
     keys_t = keys.value.transpose(0, 2, 1)
     q = _matmul_rows(query.value, wa.value)
@@ -493,17 +449,14 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
         dalpha = g @ keys_t
         dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
         dq = dscores @ keys.value
-        if not keys.constant:
-            # both contributions as one batched (T, 2Tq) @ (2Tq, H) product
-            tw = np.concatenate([alpha, dscores], axis=1).transpose(0, 2, 1)
-            _acc(keys, tw @ np.concatenate([g, q], axis=1))
-        if not query.constant:
-            _acc(query, _matmul_rows(dq, wa.value.T))
-        if not wa.constant:
-            hd = query.value.shape[2]
-            _acc(wa, query.value.reshape(-1, hd).T @ dq.reshape(-1, hd))
+        # both contributions to keys as one batched (T, 2Tq) @ (2Tq, H) product
+        tw = np.concatenate([alpha, dscores], axis=1).transpose(0, 2, 1)
+        _acc(keys, tw @ np.concatenate([g, q], axis=1))
+        _acc(query, _matmul_rows(dq, wa.value.T))
+        hd = query.value.shape[2]
+        _acc(wa, query.value.reshape(-1, hd).T @ dq.reshape(-1, hd))
 
-    return _record(out, (query, keys, wa), vjp)
+    return _record(out, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,12 @@ class AnnealSchedule:
     gap: float = 1000.0
 
     def __post_init__(self):
-        if self.rate <= 1.0:
+        if not self.rate > 1.0:
             raise ValueError("rate must exceed 1")
         if not (self.p0 > 0 and self.gap > 0):
             raise ValueError("p0 and gap must be positive")
-        if self.p0 > self.p_max:
-            raise ValueError("p0 must not exceed p_max")
+        if not self.p0 <= self.p_max:
+            raise ValueError("p_max must be at least p0")
 
 
 def anneal_interval(iteration: int, schedule: AnnealSchedule) -> float:
@@ -95,8 +95,12 @@ class TrainConfig:
             raise ValueError("learning rates must be positive and finite")
         if not (self.temperature > 0 and self.grad_clip > 0):
             raise ValueError("temperature and grad_clip must be positive")
-        if min(self.pretrain_batch, self.dual_batch, self.max_decode_len) < 1:
-            raise ValueError("pretrain_batch, dual_batch and max_decode_len must be at least 1")
+        if min(self.pretrain_batch, self.dual_batch, self.max_decode_len, self.max_dual_epochs,
+               1 if self.max_iterations is None else self.max_iterations) < 1:
+            raise ValueError("pretrain_batch, dual_batch, max_decode_len, max_dual_epochs and "
+                             "max_iterations must be at least 1")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must not be negative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1: at 0 every run stops after one epoch")
 
@@ -343,9 +347,9 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     styles need dev sentences, and ``gold_refs`` holds one reference set per
     dev sentence for both styles or for neither.  Training stops at the
     iteration/epoch budget or once the score has not improved for
-    ``patience`` epochs, whichever comes first.  The models passed in come back holding the best weights, read from
-    ``f_best.ckpt``/``g_best.ckpt``, or as trained if no epoch ran.  The
-    history is the epoch lines of ``events.jsonl`` without their ``"event"``.
+    ``patience`` epochs, whichever comes first.  The models passed in come
+    back holding the best weights, read from ``f_best.ckpt``/``g_best.ckpt``.
+    The history is the epoch lines of ``events.jsonl`` without their ``"event"``.
     """
     if not clf.frozen:
         raise RuntimeError("classifier must be frozen before dual training")
@@ -362,9 +366,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     train_x = corpus.of(corpus.label_x, "train")
     train_y = corpus.of(corpus.label_y, "train")
     iters_per_epoch = max(1, math.ceil(len(train_x) / cfg.dual_batch))
-    max_iters = cfg.max_iterations
-    if max_iters is None:
-        max_iters = cfg.max_dual_epochs * iters_per_epoch
+    max_iters = cfg.max_iterations or cfg.max_dual_epochs * iters_per_epoch
 
     # one row per direction: checkpoint tag, policy, opposite model, optimizer,
     # target style, RL and TF splits, and the seed salts of their epoch orders
@@ -455,9 +457,9 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         if epoch - state.best_epoch >= cfg.patience:
             break
 
-    if state.best_epoch >= 0:
-        for tag, policy, *_ in directions:
-            load_model(ck / f"{tag}_best.ckpt", policy.vocab, lambda _: policy)
+    # every run has finished an epoch, and its finite dev score beat the initial -inf
+    for tag, policy, *_ in directions:
+        load_model(ck / f"{tag}_best.ckpt", policy.vocab, lambda _: policy)
     lines = events.read_text(encoding="utf-8").splitlines()
     history = [event for event in map(json.loads, lines) if event.pop("event") == "epoch"]
     return TrainResult(model_f=model_f, model_g=model_g, state=state, history=history)

@@ -92,9 +92,7 @@ class Seq2Seq:
         are tiled, so rows b*k to b*k+k-1 share source b.
         """
         batch = src_ids.shape[0]
-        hc0 = ad.constant(np.zeros((batch, 2 * self.hidden_dim),
-                                   dtype=self.params["enc_wh"].value.dtype))
-        states = self._lstm("enc", src_ids, hc0)
+        states = self._lstm("enc", src_ids, None)
         keys = ad.take(states, np.s_[..., : self.hidden_dim])
         attn_bias = np.where(src_mask > 0, 0.0, MASK_NEG)
         last = src_mask.sum(axis=1).astype(np.int64) - 1
@@ -106,7 +104,8 @@ class Seq2Seq:
         return keys, attn_bias, hc
 
     def _lstm(self, lstm: str, ids: np.ndarray, hc):
-        """Run the ``lstm`` ("enc" or "dec") LSTM over token ids from state ``hc``.
+        """Run the ``lstm`` ("enc" or "dec") LSTM over token ids from state ``hc``
+        (``None``: the zero state, which takes no gradient).
 
         The input projection ``embed[u] @ W_x + b`` is one (U, 4H) ``affine``
         over the U distinct ids ``u`` in ``ids``; ``lstm_cell`` gathers its rows
@@ -234,7 +233,7 @@ class Seq2Seq:
     # -- training -----------------------------------------------------------
 
     def mle_step(self, pairs: list[tuple[Sentence, Sentence]], opt: AdamState,
-                 grad_clip: float = 5.0) -> float:
+                 grad_clip: float) -> float:
         """One Adam update on mean per-token cross-entropy; returns pre-update loss."""
         sources = [p[0] for p in pairs]
         targets = [p[1] for p in pairs]

@@ -52,8 +52,8 @@ def square_sum(t: ad.Tensor) -> ad.Tensor:
     else:
         flat = np.unravel_index(np.arange(t.value.size), t.value.shape)
         row, col = tuple(i[None, :] for i in flat), tuple(i[:, None] for i in flat)
-    return ad.masked_sum(ad.affine(ad.take(t, row), ad.take(t, col), np.zeros(1)),
-                         np.ones((1, 1)))
+    zero = ad.parameter(np.zeros(1))
+    return ad.masked_sum(ad.affine(ad.take(t, row), ad.take(t, col), zero), np.ones((1, 1)))
 
 
 class DiskFull:

@@ -42,7 +42,7 @@ def test_shared_node_gradient_accumulates():
     x = ad.parameter(np.full((1, 1), 3.0))
     with ad.Tape() as tape:
         r = ad.scale(x, 2.0)
-        y = ad.masked_sum(ad.affine(r, r, np.zeros(1)), np.ones((1, 1)))
+        y = ad.masked_sum(ad.affine(r, r, ad.parameter(np.zeros(1))), np.ones((1, 1)))
     ad.backward(tape, y)
     assert abs(float(x.grad[0, 0]) - 24.0) < 1e-12  # d(2x)^2/dx = 8x
 
@@ -84,8 +84,8 @@ def test_constant_function_has_zero_gradients():
 
     def fn(params):
         row = ad.take(params[0], np.s_[None, :])
-        return ad.masked_sum(ad.affine(row, ad.constant(np.zeros((4, 1))), np.zeros(1)),
-                             np.ones((1, 1)))
+        zero_w, zero_b = ad.parameter(np.zeros((4, 1))), ad.parameter(np.zeros(1))
+        return ad.masked_sum(ad.affine(row, zero_w, zero_b), np.ones((1, 1)))
 
     assert ad.grad_check(fn, [x]) == 0.0
 
@@ -93,6 +93,9 @@ def test_constant_function_has_zero_gradients():
 # ---------------------------------------------------------------------------
 # every primitive passes grad_check in isolation
 # ---------------------------------------------------------------------------
+
+LSTM_INDEX = np.array([[0, 2, 2, 1], [2, 0, 3, 3]])
+
 
 def _mean_sq(t):
     return ad.scale(square_sum(t), 1.0 / t.value.size)
@@ -125,7 +128,7 @@ def make_primitive_cases():
         "cross_entropy": ([a23], lambda p: _mean_sq(ad.cross_entropy(p[0], np.array([1, 0])))),
         "conv1d": ([x_btE, filt, v4], lambda p: _mean_sq(ad.conv1d(p[0], p[1], p[2]))),
         "max_over_time": ([x_btE], lambda p: _mean_sq(
-            ad.max_over_time(ad.conv1d(p[0], ad.constant(filt), v4), valid))),
+            ad.max_over_time(ad.conv1d(p[0], ad.parameter(filt), ad.parameter(v4)), valid))),
         "affine": ([a23, m34, v4],
                    lambda p: _mean_sq(ad.affine(p[0], p[1], p[2]))),
         "tanh_affine": ([a23, m34, v4],
@@ -140,8 +143,12 @@ def make_primitive_cases():
         "lstm_cell_seq": (
             [rng.normal(0, 0.8, (4, 16)), rng.normal(0, 0.8, (2, 8)),
              rng.normal(0, 0.5, (4, 16))],
-            lambda p: _mean_sq(ad.lstm_cell(p[0], np.array([[0, 2, 2, 1], [2, 0, 3, 3]]),
-                                            p[1], p[2]))),
+            lambda p: _mean_sq(ad.lstm_cell(p[0], LSTM_INDEX, p[1], p[2]))),
+        # the encoder's zero start state: no state tensor, and no gradient
+        # flows back past step 0
+        "lstm_cell_zero_start": (
+            [rng.normal(0, 0.8, (4, 16)), rng.normal(0, 0.5, (4, 16))],
+            lambda p: _mean_sq(ad.lstm_cell(p[0], LSTM_INDEX, None, p[1]))),
     }
     return cases
 
@@ -154,6 +161,22 @@ def test_primitive_grad_check(name):
     assert err < 1e-4, f"{name}: max rel err {err}"
 
 
+def test_lstm_cell_zero_start_equals_an_explicit_zero_state():
+    rng = np.random.default_rng(5)
+    xw, wh = rng.normal(0, 0.8, (4, 16)), rng.normal(0, 0.5, (4, 16))
+    g = rng.normal(0, 1, (2, 4, 8))
+    results = []
+    for hc in (None, ad.parameter(np.zeros((2, 8)))):
+        params = [ad.parameter(xw), ad.parameter(wh)]
+        with ad.Tape() as tape:
+            out = ad.lstm_cell(params[0], LSTM_INDEX, hc, params[1])
+            loss = ad.masked_sum(out, g)
+        ad.backward(tape, loss)
+        results.append((out.value,) + tuple(p.grad for p in params))
+    for name, a, b in zip(("out", "dxw", "dwh"), *results):
+        assert np.array_equal(a, b), name
+
+
 def test_composed_tanh_network_grad_check():
     rng = np.random.default_rng(11)
     w1 = ad.parameter(rng.normal(0, 0.5, (6, 9)))
@@ -163,7 +186,7 @@ def test_composed_tanh_network_grad_check():
     x = rng.normal(0, 1, (5, 6))
 
     def fn(params):
-        h = ad.tanh_affine(ad.constant(x), params[0], params[1])
+        h = ad.tanh_affine(ad.parameter(x), params[0], params[1])
         return _mean_sq(ad.affine(h, params[2], params[3]))
 
     err = ad.grad_check(fn, [w1, b1, w2, b2], samples_per_param=25,
@@ -183,7 +206,7 @@ def test_square_grad_check_tight():
 def test_inference_mode_records_nothing():
     x = ad.parameter(np.ones((2, 2)))
     y = square_sum(x)  # no tape active
-    assert y.vjp is None and y.parents == ()
+    assert y.vjp is None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def eos_first_run(tmp_path_factory, tiny_task, tiny_classifier):
     rng = np.random.default_rng(0)
     for _ in range(20):
         for batch in epoch_batches(pairs_f, 32, rng):
-            model_f.mle_step([(p.source, p.target) for p in batch], opt)
+            model_f.mle_step([(p.source, p.target) for p in batch], opt, 5.0)
     inputs = corpus.of(corpus.label_x, "dev")
     max_len = cli.DEFAULTS["max_decode_len"]
     for _ in range(40):
@@ -258,7 +258,9 @@ def test_train_refuses_settings_that_crash_or_corrupt_a_run_before_writing(tmp_p
     saved = {name: (run_dir / name).read_bytes() for name in ("config.json", "events.jsonl")}
     for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"p0": 0},
                 {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0},
-                {"patience": 0}, {"dual_lr": float("nan")}):
+                {"patience": 0}, {"dual_lr": float("nan")}, {"anneal_rate": float("nan")},
+                {"max_dual_epochs": 0}, {"max_dual_epochs": -2}, {"max_iterations": 0},
+                {"pretrain_epochs": -1}):
         capsys.readouterr()
         assert run(["train"], **bad) == 1, bad
         assert "error=ValueError detail=" in capsys.readouterr().err, bad

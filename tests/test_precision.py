@@ -9,7 +9,7 @@ masters directly and stay float64.
 import numpy as np
 import pytest
 
-from dualstyle import autodiff as ad
+from dualstyle import autodiff as ad, seq2seq
 from dualstyle.checkpoint import load_checkpoint
 from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import reinforce_gradient
@@ -39,31 +39,29 @@ def _sentences(vocab, seed, n, max_len=5):
     return out
 
 
-def _tape_tensors(tape):
-    """Every tensor a tape reaches: its nodes and their leaf parents."""
-    seen = {}
-    for node in tape.nodes:
-        seen[id(node)] = node
-        for parent in node.parents:
-            seen[id(parent)] = parent
-    return list(seen.values())
+def _dtypes(tensors):
+    return [(t.value.dtype, None if t.grad is None else t.grad.dtype) for t in tensors]
 
 
 def test_taped_passes_are_float32_and_masters_stay_float64(small_vocab, monkeypatch, tmp_path):
     model = _model(small_vocab)
     tapes = []
-    real_backward = ad.backward
+    real_backward, real_collect_grads = ad.backward, seq2seq.collect_grads
 
     def recording_backward(tape, loss):
         real_backward(tape, loss)
-        # after backward, before the gradients are collected from the copy
-        tapes.append([(t.value.dtype, None if t.grad is None else t.grad.dtype)
-                      for t in _tape_tensors(tape)])
+        tapes.append(_dtypes(tape.nodes))
+
+    def recording_collect_grads(params):
+        # the working copy's leaves, right after backward and before the upcast
+        tapes[-1] += _dtypes(params.values())
+        return real_collect_grads(params)
 
     monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(seq2seq, "collect_grads", recording_collect_grads)
     sources = _sentences(small_vocab, 1, 6)
     opt = AdamState(lr=1e-2)
-    model.mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))), opt)
+    model.mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))), opt, 5.0)
     samples, _ = model.sample_batch(sources, 2, np.random.default_rng(0), max_len=6)
     grads, _ = reinforce_gradient(model, sources, samples, np.linspace(0.0, 1.0, len(samples)))
 
@@ -126,7 +124,8 @@ def test_untaped_paths_stay_float64(small_vocab):
     model = _model(small_vocab)
     sources = _sentences(small_vocab, 1, 6)
     # a float32 update of a clone leaves the master's float64 paths alone
-    model.clone().mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))), AdamState(lr=1e-2))
+    model.clone().mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))),
+                           AdamState(lr=1e-2), 5.0)
     samples, logps = model.sample_batch(sources, 2, np.random.default_rng(4), max_len=6)
     rescored = model.log_prob_batch([sources[i // 2] for i in range(12)], samples)
     assert logps.dtype == np.float64 and rescored.dtype == np.float64

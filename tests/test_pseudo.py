@@ -152,7 +152,7 @@ def test_back_translate_identity_model(small_vocab):
         batch = [sentence(small_vocab, *(tokens[int(rng.integers(5))]
                                          for _ in range(int(rng.integers(1, 5)))))
                  for _ in range(48)]
-        model.mle_step([(s, s) for s in batch], opt)
+        model.mle_step([(s, s) for s in batch], opt, 5.0)
     probes = [sentence(small_vocab, "d", "a"), sentence(small_vocab, "c", "e", "b")]
     pairs = back_translate_batch(model, probes, max_len=9)
     for pair, probe in zip(pairs, probes):

@@ -201,7 +201,7 @@ def test_mle_memorization_loss_decreases(small_vocab):
     pairs = [(_random_sentence(small_vocab, rng, 2, 4),
               _random_sentence(small_vocab, rng, 2, 4)) for _ in range(10)]
     opt = AdamState(lr=1e-2)
-    losses = [model.mle_step(pairs, opt) for _ in range(50)]
+    losses = [model.mle_step(pairs, opt, 5.0) for _ in range(50)]
     assert losses[-1] < losses[0] * 0.5
     assert losses[-1] == min(losses)
 
@@ -213,7 +213,7 @@ def test_identity_finetune_reproduces_heldout(small_vocab):
     opt = AdamState(lr=1e-2)
     for _ in range(500):
         batch = [_random_sentence(small_vocab, rng) for _ in range(48)]
-        model.mle_step([(s, s) for s in batch], opt)
+        model.mle_step([(s, s) for s in batch], opt, 5.0)
     for held in (("b", "d", "a"), ("e", "c"), ("a", "e", "b", "c")):
         s = sentence(small_vocab, *held)
         assert model.greedy_decode_batch([s], max_len=10)[0].surface == s.surface
@@ -320,7 +320,7 @@ def test_mle_step_tape_size_does_not_grow_with_length(small_vocab, monkeypatch):
     for length in (3, 12):
         src = sentence(small_vocab, *(["a", "b", "c"] * 4)[:length])
         tgt = sentence(small_vocab, *(["d", "e"] * 6)[:length])
-        model.mle_step([(src, tgt), (tgt, src)], opt)
+        model.mle_step([(src, tgt), (tgt, src)], opt, 5.0)
     assert sizes[0] == sizes[1]
 
 
@@ -328,7 +328,7 @@ def test_clone_and_checkpoint_round_trip(small_vocab, tmp_path):
     model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=33)
     twin = model.clone()
     opt = AdamState(lr=1e-2)
-    model.mle_step([(sentence(small_vocab, "a"), sentence(small_vocab, "b"))], opt)
+    model.mle_step([(sentence(small_vocab, "a"), sentence(small_vocab, "b"))], opt, 5.0)
     assert not np.array_equal(model.params["out_b"].value, twin.params["out_b"].value)
 
     model.save(tmp_path / "m.ckpt")
