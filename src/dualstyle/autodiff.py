@@ -15,16 +15,29 @@ A ``Tape`` records every non-leaf node in creation order, which is already a
 topological order, so the backward pass is a single reversed sweep that
 visits each node exactly once.  Ops run with no tape active return plain
 value-holding tensors (cheap inference mode); gradients then cannot be
-requested.
+requested.  Each thread has its own stack of active tapes, so a tape records
+only the ops of the thread that opened it: untaped inference on another
+thread never joins it.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 from .errors import NaNDetectedError, NonScalarLossError
 
-_TAPE_STACK: list["Tape"] = []
+_LOCAL = threading.local()
+
+
+def _tapes() -> list["Tape"]:
+    """The calling thread's stack of active tapes, innermost last."""
+    try:
+        return _LOCAL.tapes
+    except AttributeError:
+        _LOCAL.tapes = []
+        return _LOCAL.tapes
 
 
 class Tape:
@@ -34,11 +47,11 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _tapes().append(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _tapes().pop()
         return False
 
 
@@ -60,9 +73,10 @@ def parameter(value) -> Tensor:
 
 
 def _record(value, vjp) -> Tensor:
-    if _TAPE_STACK:
+    tapes = _tapes()
+    if tapes:
         node = Tensor(value, vjp)
-        _TAPE_STACK[-1].nodes.append(node)
+        tapes[-1].nodes.append(node)
         return node
     return Tensor(value)
 
@@ -357,7 +371,7 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
     h0 = np.zeros((batch, 2 * hd), dtype=dtype) if hc is None else hc.value
     out = np.empty((batch, steps, 2 * hd), dtype=dtype)
     # Activations are kept for the backward only while a tape records.
-    taped = bool(_TAPE_STACK)
+    taped = bool(_tapes())
     if taped:
         acts = np.empty((batch, steps, 4 * hd), dtype=dtype)
         tcs = np.empty((batch, steps, hd), dtype=dtype)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import os
 
-# Worker/BLAS thread cap; must be set before numpy loads.  Default 1 keeps
-# CLI runs strictly deterministic across machines with different core counts.
+# BLAS thread cap; must be set before numpy loads.  Default 1 keeps CLI runs
+# strictly deterministic across machines with different core counts.  It caps
+# BLAS threads only: seq2seq's inference always runs as two halves on two
+# threads, whatever this is set to.
 _threads = os.environ.get("DUALSTYLE_THREADS", "1")
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, _threads)
@@ -49,7 +51,7 @@ from .corpus import (
     save_references,
 )
 from .dualrl import AnnealSchedule, TrainConfig, train
-from .errors import DualStyleError
+from .errors import DualStyleError, EmptySequenceError
 from .evaluation import evaluate
 from .rewards import RewardConfig
 from .seq2seq import Seq2Seq
@@ -298,6 +300,8 @@ def cmd_transfer(cfg: dict, direction: str, in_path, out_path,
     tag = "f" if direction == "x2y" else "g"
     model = Seq2Seq.load(run_dir / "checkpoints" / f"{tag}_{checkpoint}.ckpt", vocab)
     sentences = [vocab.to_ids(s) for s in read_sentences(in_path)]
+    if not sentences:
+        raise EmptySequenceError(f"{in_path}: no sentences")
     outputs = model.greedy_decode_batch(sentences, max_len=cfg["max_decode_len"])
     Path(out_path).write_text(
         "".join(o.text() + "\n" for o in outputs), encoding="utf-8")

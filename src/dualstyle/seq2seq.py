@@ -14,6 +14,24 @@ and bias are gathered away, so each step computes only the rows still going
 still draws one uniform per row at every step, finished or not, so the random
 stream, and with it every sample, is the one a full-width loop would see.
 
+Every untaped inference call (``sample_batch``, ``greedy_decode_batch`` and
+``log_prob_batch``) runs as two halves of its sources: the calling thread
+computes the first, and one module-level worker thread the second
+(``_in_halves``).  Rows never interact in inference, a source's k sample rows
+stay in one half, and both halves read one ``pad_batch`` of the whole batch,
+so every row is computed on the shapes a single pass would give it.  The
+split is always in two by source count, whatever the number of cores, so the
+outputs do not depend on the core count.  They equal a single pass over all
+rows to the last bit except where BLAS rounds a product with the half's row
+count differently from one with the whole's: OpenBLAS's small-matrix dgemm
+kernel, used below M*N*K = 1e6 on AVX-512 hosts, rounds some output widths
+(81, but not 80) otherwise than its blocked kernel, so a toy-size
+``log_prob_batch`` value can move by one ulp.  One worker, not two, because
+each thread that allocates keeps its own malloc arena, and a third would
+raise peak memory for no speed on two cores.
+Taped passes stay on the calling thread: splitting them would reorder the
+gradient sums, and the tape of each thread records only that thread's ops.
+
 An LSTM input is always an embedding row, so its projection ``x @ W_x + b``
 takes one of at most |V| values.  Every LSTM call therefore projects each
 distinct token id in its input once (``_lstm``) and the cell gathers the
@@ -34,6 +52,7 @@ matches its rescoring to float64 round-off.
 from __future__ import annotations
 
 import copy
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -44,6 +63,40 @@ from .errors import EmptySequenceError
 from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
 MASK_NEG = -1e9  # additive score for padded source positions; exp underflows to 0
+
+# Runs the second half of every untaped inference call (``_in_halves``).
+_HALF_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="seq2seq-half")
+
+
+def _in_halves(n: int, run) -> list:
+    """``[run(0, mid), run(mid, n)]`` with ``mid = ceil(n / 2)``: the calling
+    thread runs the first half while ``_HALF_WORKER`` runs the second.
+
+    Rows never interact in inference and numpy releases the interpreter lock
+    inside its products and ufuncs, so the halves overlap on two cores.  The
+    split depends on ``n`` alone, never on the core count.
+    """
+    mid = (n + 1) // 2
+    if mid == n:
+        return [run(0, n)]
+    second = _HALF_WORKER.submit(run, mid, n)
+    try:
+        first = run(0, mid)
+    finally:
+        wait([second])  # even if the first half raises, no half outlives the call
+    return [first, second.result()]
+
+
+def _backward_through(loss_fn, model) -> float:
+    """Tape ``loss_fn(model)``, backward through it and return the loss value.
+
+    The tape and every activation it holds are freed on return, before the
+    caller copies the gradients it left on ``model``'s parameters.
+    """
+    with ad.Tape() as tape:
+        loss = loss_fn(model)
+    ad.backward(tape, loss)
+    return float(loss.value)
 
 
 class Seq2Seq:
@@ -160,34 +213,61 @@ class Seq2Seq:
                 raise EmptySequenceError("scoring needs numericalized, non-empty sentences")
         src_ids, src_mask = pad_batch([s.ids for s in sources])
         tgt_ids, tgt_mask = pad_batch([t.ids for t in targets])
-        logits = self._teacher_forced_logits(src_ids, src_mask, tgt_ids)
-        nll = ad.cross_entropy(logits, tgt_ids).value
-        return -(nll * tgt_mask).sum(axis=1)
+
+        def score_half(lo: int, hi: int) -> np.ndarray:
+            logits = self._teacher_forced_logits(src_ids[lo:hi], src_mask[lo:hi], tgt_ids[lo:hi])
+            nll = ad.cross_entropy(logits, tgt_ids[lo:hi]).value
+            return -(nll * tgt_mask[lo:hi]).sum(axis=1)
+
+        return np.concatenate(_in_halves(len(sources), score_half))
 
     # -- generation ---------------------------------------------------------
 
-    def _run_decode(self, src_ids, src_mask, max_len: int, k: int,
+    def _run_decode(self, sources: list[Sentence], max_len: int, k: int,
                     rng: np.random.Generator | None, temperature: float):
         """Shared ancestral decode; ``rng is None`` means greedy argmax.
 
         Returns the (rows, steps) chosen ids, PAD past each row's EOS, and each
-        row's total log-probability.
+        row's total log-probability.  Each half of the sources is decoded by
+        ``_decode_rows``.  A sampler draws the uniforms of every step from a
+        copy of ``rng``, as the step loop over all rows would draw them, then
+        advances ``rng`` past the steps that loop would have run.
         """
-        keys, attn_bias, hc = self._encode(src_ids, src_mask, k)
-        rows = src_ids.shape[0] * k
-        live = np.arange(rows)  # the rows that have not emitted EOS yet
-        tok = np.full(rows, BOS, dtype=np.int64)
-        log_probs = np.zeros(rows)
+        src_ids, src_mask = pad_batch([s.ids for s in sources])
+        rows = len(sources) * k
         steps = np.full((rows, max_len), PAD, dtype=np.int64)
-        for t in range(max_len):
+        log_probs = np.zeros(rows)
+        # (max_len, rows): step t's row is the draw of rng.random(rows) at step t
+        uniforms = None if rng is None else copy.deepcopy(rng).random((max_len, rows))
+
+        def decode_half(lo: int, hi: int) -> int:
+            rows_of = slice(lo * k, hi * k)
+            return self._decode_rows(src_ids[lo:hi], src_mask[lo:hi], k,
+                                     None if uniforms is None else uniforms[:, rows_of],
+                                     temperature, steps[rows_of], log_probs[rows_of])
+
+        width = max(_in_halves(len(sources), decode_half))
+        if rng is not None:
+            rng.random(width * rows)
+        return steps[:, :width], log_probs
+
+    def _decode_rows(self, src_ids, src_mask, k: int, uniforms: np.ndarray | None,
+                     temperature: float, steps: np.ndarray, log_probs: np.ndarray) -> int:
+        """Decode k rows per source into ``steps`` and ``log_probs``, in place;
+        returns the number of steps run.  ``uniforms[t]`` holds step t's draw
+        for each row, finished or not; ``None`` means greedy argmax."""
+        keys, attn_bias, hc = self._encode(src_ids, src_mask, k)
+        live = np.arange(steps.shape[0])  # the rows that have not emitted EOS yet
+        tok = np.full(live.size, BOS, dtype=np.int64)
+        for t in range(steps.shape[1]):
             logits, hc = self._decode_step(tok, hc, keys, attn_bias)
             logits = logits.value[:, 0]
             logp = ad.log_softmax_values(logits)
-            if rng is None:
+            if uniforms is None:
                 chosen = logits.argmax(axis=1)
             else:
                 probs = ad.softmax_values(logits / temperature)
-                u = rng.random(rows)[live]  # one draw per row, finished or not
+                u = uniforms[t, live]
                 chosen = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
                 chosen = np.minimum(chosen, logits.shape[1] - 1)
             steps[live, t] = chosen
@@ -195,12 +275,12 @@ class Seq2Seq:
             going = chosen != EOS
             if not going.all():
                 if not going.any():
-                    return steps[:, : t + 1], log_probs
+                    return t + 1
                 live, chosen = live[going], chosen[going]
                 hc, keys = ad.take(hc, going), ad.take(keys, going)
                 attn_bias = attn_bias[going]
             tok = chosen
-        return steps, log_probs
+        return steps.shape[1]
 
     def _rows_to_sentences(self, steps: np.ndarray) -> list[Sentence]:
         # Rows end at their first EOS; fill tokens past it are never collected.
@@ -221,13 +301,11 @@ class Seq2Seq:
                      rng: np.random.Generator, max_len: int,
                      temperature: float = 1.0) -> tuple[list[Sentence], np.ndarray]:
         """Draw k samples per source; returns row-major (source major) lists."""
-        src_ids, src_mask = pad_batch([s.ids for s in sources])
-        steps, log_probs = self._run_decode(src_ids, src_mask, max_len, k, rng, temperature)
+        steps, log_probs = self._run_decode(sources, max_len, k, rng, temperature)
         return self._rows_to_sentences(steps), log_probs
 
     def greedy_decode_batch(self, sources: list[Sentence], max_len: int) -> list[Sentence]:
-        src_ids, src_mask = pad_batch([s.ids for s in sources])
-        steps, _ = self._run_decode(src_ids, src_mask, max_len, 1, None, 1.0)
+        steps, _ = self._run_decode(sources, max_len, 1, None, 1.0)
         return self._rows_to_sentences(steps)
 
     # -- training -----------------------------------------------------------
@@ -258,11 +336,9 @@ class Seq2Seq:
         work = copy.copy(self)
         work.params = {k: ad.parameter(p.value.astype(np.float32))
                        for k, p in self.params.items()}
-        with ad.Tape() as tape:
-            loss = loss_fn(work)
-        ad.backward(tape, loss)
+        loss = _backward_through(loss_fn, work)
         grads = {k: g.astype(np.float64) for k, g in collect_grads(work.params).items()}
-        return float(loss.value), grads
+        return loss, grads
 
     def mean_nll(self, pairs: list[tuple[Sentence, Sentence]]) -> float:
         """Mean per-token NLL without updating (for perplexity tracking)."""

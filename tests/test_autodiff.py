@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ def test_inference_mode_records_nothing():
     x = ad.parameter(np.ones((2, 2)))
     y = square_sum(x)  # no tape active
     assert y.vjp is None
+
+
+def test_a_tape_records_only_the_ops_of_its_own_thread():
+    a, w, b = (ad.parameter(np.ones(shape)) for shape in ((2, 3), (3, 4), (4,)))
+    with ad.Tape() as tape:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            elsewhere = pool.submit(ad.affine, a, w, b).result(timeout=30)
+        assert elsewhere.vjp is None and tape.nodes == []
+        here = ad.affine(a, w, b)
+    assert len(tape.nodes) == 1 and tape.nodes[0] is here and here.vjp is not None
 
 
 # ---------------------------------------------------------------------------

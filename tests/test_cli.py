@@ -396,3 +396,13 @@ def test_a_blank_transfer_input_line_is_named_by_place(eos_first_run, tmp_path, 
                      "--in", str(path), "--out", str(tmp_path / "out.txt")]) == 1
     assert f"detail={path}:3: blank line" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_an_empty_transfer_input_is_refused(eos_first_run, tmp_path, capsys):
+    run = eos_first_run
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert cli.main(["transfer", "--run-dir", str(run["run_dir"]), "--direction", "x2y",
+                     "--in", str(path), "--out", str(tmp_path / "out.txt")]) == 1
+    assert f"error=EmptySequenceError detail={path}: no sentences" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()

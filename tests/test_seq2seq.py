@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,22 +144,97 @@ def test_decode_steps_run_only_the_rows_still_going(small_vocab, monkeypatch):
     for name in ("enc_b", "dec_b", "comb_b", "out_b"):
         model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
     sources = [_random_sentence(small_vocab, rng, max_len=6) for _ in range(8)]
-    widths = []
+    widths = {}  # thread id -> the width of each step that thread ran
     real_step = Seq2Seq._decode_step
 
     def recording_step(self, tok_ids, hc, keys, attn_bias):
-        widths.append(len(tok_ids))
+        widths.setdefault(threading.get_ident(), []).append(len(tok_ids))
         assert hc.value.shape[0] == keys.value.shape[0] == attn_bias.shape[0] == len(tok_ids)
         return real_step(self, tok_ids, hc, keys, attn_bias)
 
     monkeypatch.setattr(Seq2Seq, "_decode_step", recording_step)
-    for decode in (lambda: model.sample_batch(sources, 3, np.random.default_rng(2), max_len=7)[0],
-                   lambda: model.greedy_decode_batch(sources, max_len=7)):
+    for k, decode in ((3, lambda: model.sample_batch(sources, 3, np.random.default_rng(2),
+                                                     max_len=7)[0]),
+                      (1, lambda: model.greedy_decode_batch(sources, max_len=7))):
         widths.clear()
         lengths = np.array([len(s.ids) for s in decode()])
-        # a row is fed to step t until it has emitted EOS, at step len - 1
-        assert widths == [int((lengths > t).sum()) for t in range(lengths.max())]
-        assert widths[-1] < widths[0]
+        # the calling thread decodes the first 4 sources' rows, the worker the rest
+        first = widths.pop(threading.get_ident())
+        (second,) = widths.values()
+        assert first[0] + second[0] == len(lengths) == 8 * k
+        for half, rows in ((first, lengths[: 4 * k]), (second, lengths[4 * k:])):
+            # a row is fed to step t until it has emitted EOS, at step len - 1
+            assert half == [int((rows > t).sum()) for t in range(rows.max())]
+            assert half[-1] < half[0]
+
+
+# Outputs of one step loop over all rows (the decoder before it ran in
+# halves), recorded from that code with the calls below.  At this size every
+# product takes the same BLAS kernel either way, so the halves must
+# reproduce them bit for bit.
+GOLDEN_GREEDY_IDS = [
+    (6, 6, 6, 6, 6, 6), (8, 1, 3), (1, 3), (3,), (3,), (3,), (3,),
+]
+GOLDEN_SAMPLE_IDS = [
+    (6, 3), (3,), (2, 1, 1, 5, 3), (3,), (3,), (3,), (6, 3), (1, 0, 3), (3,), (6, 1, 6, 6, 3),
+    (6, 0, 3), (4, 6, 8, 8, 8, 0, 2, 3), (1, 2, 3), (3,), (7, 3), (8, 6, 6, 2, 3), (5, 3),
+    (1, 5, 4, 7, 3), (7, 8, 7, 3), (1, 2, 3), (3,),
+]
+GOLDEN_SAMPLE_LOG_PROBS = [
+    -3.5061461449000735, -1.0930754517709984, -10.729186633096424, -1.0840782051645483,
+    -1.0840782051645483, -1.0840782051645483, -3.580936445990112, -5.999598954814097,
+    -1.1094722743067933, -10.516252227131696, -6.007475148780969, -18.898448502282285,
+    -6.237827837139487, -1.059312952050443, -3.514079017672545, -10.692161685936721,
+    -3.6380554696203378, -10.732485366683296, -8.548667437472783, -6.167414181260348,
+    -1.064294512051773,
+]
+
+
+def test_halves_reproduce_the_single_pass_outputs_and_random_stream(small_vocab):
+    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=31, init_scale=0.6,
+                    embed_scale=1.0)
+    # 7 sources: the calling thread decodes 4, the worker 3
+    sources = [sentence(small_vocab, *words.split()) for words in
+               ("a b c", "e", "d d a b c e", "b a", "c e d b", "a", "e c a d b")]
+    greedy = model.greedy_decode_batch(sources, max_len=6)
+    assert [s.ids for s in greedy] == GOLDEN_GREEDY_IDS
+    model.params["out_b"].value[EOS] = 1.3
+    rng = np.random.default_rng(77)
+    samples, log_probs = model.sample_batch(sources, 3, rng, max_len=10)
+    assert [s.ids for s in samples] == GOLDEN_SAMPLE_IDS
+    assert log_probs.dtype == np.float64 and log_probs.tolist() == GOLDEN_SAMPLE_LOG_PROBS
+    rescored = model.log_prob_batch([s for s in sources for _ in range(3)], samples)
+    # at this size the rescoring agrees with the sampler to the last bit
+    assert rescored.dtype == np.float64 and rescored.tolist() == GOLDEN_SAMPLE_LOG_PROBS
+    # rng moved on by one draw per row for each step the longest row ran,
+    # short of max_len here, as the single loop consumed it
+    width = max(len(s.ids) for s in samples)
+    assert width < 10
+    fresh = np.random.default_rng(77)
+    fresh.random(width * len(samples))
+    assert rng.random() == fresh.random()
+
+
+def test_concurrent_callers_get_the_results_of_serial_calls(small_vocab):
+    # more calling threads than cores, all sharing the one half worker
+    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=5, init_scale=0.6,
+                    embed_scale=1.0)
+    rng = np.random.default_rng(5)
+    sources = [_random_sentence(small_vocab, rng, max_len=6) for _ in range(9)]
+
+    def infer():
+        outputs = model.greedy_decode_batch(sources, max_len=8)
+        return [s.ids for s in outputs], model.log_prob_batch(sources, outputs).tolist()
+
+    expected = infer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(infer) for _ in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 16
 
 
 def test_greedy_decode_deterministic_and_truncates(small_vocab):
