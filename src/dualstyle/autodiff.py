@@ -28,16 +28,15 @@ import numpy as np
 
 from .errors import NaNDetectedError, NonScalarLossError
 
-_LOCAL = threading.local()
+
+class _ThreadTapes(threading.local):
+    """Each thread's ``stack`` of active tapes, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
 
 
-def _tapes() -> list["Tape"]:
-    """The calling thread's stack of active tapes, innermost last."""
-    try:
-        return _LOCAL.tapes
-    except AttributeError:
-        _LOCAL.tapes = []
-        return _LOCAL.tapes
+_TAPES = _ThreadTapes()
 
 
 class Tape:
@@ -47,11 +46,11 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tapes().append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tapes().pop()
+        _TAPES.stack.pop()
         return False
 
 
@@ -73,7 +72,7 @@ def parameter(value) -> Tensor:
 
 
 def _record(value, vjp) -> Tensor:
-    tapes = _tapes()
+    tapes = _TAPES.stack
     if tapes:
         node = Tensor(value, vjp)
         tapes[-1].nodes.append(node)
@@ -294,9 +293,9 @@ def max_over_time(x, valid_mask) -> Tensor:
 #
 # Each fuses a whole layer into one node with a hand-written backward rule
 # that, like every op's, gives each of its ``Tensor`` inputs a gradient.
-# ``grad_check`` covers every one of them like any primitive
-# (tests/test_autodiff.py), and a plain-numpy forward of the whole model
-# checks their values (``test_teacher_forced_logits_match_per_row_reference``
+# ``grad_check`` (tests/gradcheck.py) covers every one of them like any
+# primitive (tests/test_autodiff.py), and a plain-numpy forward of the whole
+# model checks their values (``test_teacher_forced_logits_match_per_row_reference``
 # in tests/test_seq2seq.py).  The recurrent ones take only a whole sequence:
 # ``lstm_cell`` runs every time step in one node and ``bilinear_attention``
 # scores every query step at once, so a teacher-forced pass records a fixed
@@ -371,7 +370,7 @@ def lstm_cell(xw, index, hc, wh) -> Tensor:
     h0 = np.zeros((batch, 2 * hd), dtype=dtype) if hc is None else hc.value
     out = np.empty((batch, steps, 2 * hd), dtype=dtype)
     # Activations are kept for the backward only while a tape records.
-    taped = bool(_tapes())
+    taped = bool(_TAPES.stack)
     if taped:
         acts = np.empty((batch, steps, 4 * hd), dtype=dtype)
         tcs = np.empty((batch, steps, hd), dtype=dtype)
@@ -472,50 +471,3 @@ def bilinear_attention(query, keys, score_bias, wa) -> Tensor:
 
     return _record(out, vjp)
 
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-def grad_check(fn, params, h: float = 1e-5, samples_per_param: int | None = None,
-               rng: np.random.Generator | None = None) -> float:
-    """Max relative error of backward() against central finite differences.
-
-    ``fn`` maps the given parameter tensors to a scalar tensor and must be
-    deterministic.  Relative error per coordinate is
-    ``|ad - fd| / (|ad| + |fd| + 1e-6)``.  When ``samples_per_param`` is set,
-    only that many randomly chosen coordinates per parameter are probed.
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = fn(params)
-    backward(tape, loss)
-    analytic = [np.zeros_like(p.value) if p.grad is None else p.grad.copy()
-                for p in params]
-    for p in params:
-        p.grad = None
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for p, ad in zip(params, analytic):
-        flat = p.value.reshape(-1)
-        n = flat.size
-        if samples_per_param is None or samples_per_param >= n:
-            coords = range(n)
-        else:
-            coords = rng.choice(n, size=samples_per_param, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            f_plus = float(fn(params).value)
-            flat[c] = orig - h
-            f_minus = float(fn(params).value)
-            flat[c] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            a = float(ad.reshape(-1)[c])
-            err = abs(a - fd) / (abs(a) + abs(fd) + 1e-6)
-            worst = max(worst, err)
-    return worst

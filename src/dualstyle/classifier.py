@@ -19,13 +19,14 @@ from .optim import AdamState, adam_step, clip_global_norm, collect_grads
 
 # Adam's step size, the training batch and the global-norm clip bound.
 LR, BATCH_SIZE, GRAD_CLIP = 1e-3, 32, 5.0
+# The convolution filter widths, in tokens.
+WIDTHS = (1, 2, 3)
 
 
 @dataclass
 class ClassifierConfig:
     embed_dim: int = 64
     channels: int = 32
-    widths: tuple[int, ...] = (1, 2, 3)
     epochs: int = 8
     seed: int = 0
 
@@ -51,16 +52,16 @@ class TextClassifier:
         self.params: dict[str, ad.Tensor] = {
             "embed": ad.parameter(rng.normal(0.0, 0.01, (v, e))),
         }
-        for w in self.cfg.widths:
+        for w in WIDTHS:
             self.params[f"conv{w}_w"] = ad.parameter(rng.uniform(-0.08, 0.08, (w, e, ch)))
             self.params[f"conv{w}_b"] = ad.parameter(np.zeros(ch))
-        feat = ch * len(self.cfg.widths)
+        feat = ch * len(WIDTHS)
         self.params["lin_w"] = ad.parameter(rng.uniform(-0.08, 0.08, (feat, 2)))
         self.params["lin_b"] = ad.parameter(np.zeros(2))
 
     def _prepare(self, sentences: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Content ids (EOS stripped), right-padded to at least the widest filter."""
-        min_len = max(self.cfg.widths)
+        min_len = max(WIDTHS)
         rows = []
         for s in sentences:
             ids = [i for i in s.ids if i != EOS]
@@ -77,7 +78,7 @@ class TextClassifier:
     def _logits(self, ids: np.ndarray, lengths: np.ndarray) -> ad.Tensor:
         emb = ad.embedding(self.params["embed"], ids)  # (B, T, E)
         pooled = []
-        for w in self.cfg.widths:
+        for w in WIDTHS:
             conv = ad.relu(ad.conv1d(emb, self.params[f"conv{w}_w"],
                                      self.params[f"conv{w}_b"]))
             n_windows = ids.shape[1] - w + 1
@@ -90,10 +91,6 @@ class TextClassifier:
         """Softmax over the two style classes, one row per sentence."""
         ids, lengths = self._prepare(sentences)
         return ad.softmax_values(self._logits(ids, lengths).value)
-
-    def predict(self, sentences: list[Sentence]) -> np.ndarray:
-        """Argmax class per sentence; exact ties resolve to class 0."""
-        return predicted_class(self.classify_prob_batch(sentences))
 
     def freeze(self) -> None:
         self.frozen = True
@@ -115,15 +112,13 @@ class TextClassifier:
 
     def save(self, path) -> None:
         save_model(path, self, {"kind": "cls", "embed_dim": self.cfg.embed_dim,
-                                "channels": self.cfg.channels,
-                                "widths": list(self.cfg.widths), "frozen": self.frozen})
+                                "channels": self.cfg.channels, "frozen": self.frozen})
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TextClassifier":
         def build(meta):
             clf = cls(vocab, ClassifierConfig(embed_dim=meta["embed_dim"],
-                                              channels=meta["channels"],
-                                              widths=tuple(meta["widths"])))
+                                              channels=meta["channels"]))
             clf.frozen = meta["frozen"]
             return clf
         return load_model(path, vocab, build)
@@ -150,7 +145,7 @@ def train_classifier(corpus: StyleCorpus, vocab: Vocabulary,
         for batch in epoch_batches(train_items, BATCH_SIZE, rng):
             clf.train_batch([s for s, _ in batch], np.array([lab for _, lab in batch]), opt)
         if dev_items:
-            preds = clf.predict([s for s, _ in dev_items])
+            preds = predicted_class(clf.classify_prob_batch([s for s, _ in dev_items]))
             acc = float((preds == np.array([lab for _, lab in dev_items])).mean())
             if acc > best_acc:
                 best_acc = acc

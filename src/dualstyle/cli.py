@@ -65,9 +65,8 @@ RENAMED = {
     (AnnealSchedule, "gap"): "anneal_gap",
 }
 
-# Fields that no config key fills: the two nested configs and the
-# classifier's filter widths.
-UNKEYED = {(TrainConfig, "reward"), (TrainConfig, "schedule"), (ClassifierConfig, "widths")}
+# Fields that no config key fills: the two nested configs.
+UNKEYED = {(TrainConfig, "reward"), (TrainConfig, "schedule")}
 
 
 def _keys(cls) -> dict[str, str]:
@@ -275,12 +274,13 @@ def cmd_train(cfg: dict, resume: bool = False) -> None:
     model_g = Seq2Seq.load(ck / "g_pre.ckpt", vocab)
     result = train(model_f, model_g, clf, num, tc, run_dir=run_dir,
                    gold_refs=gold_refs, resume=resume)
-    last = result.history[-1] if result.history else {}
+    best = next((row for row in result.history
+                 if row["epoch"] == result.state.best_epoch), {})
     _log(event="train", ablation=tc.ablation, epochs=len(result.history),
          iterations=result.state.iteration,
          best_epoch=result.state.best_epoch,
-         dev_score=last.get("dev_score"), dev_acc=last.get("dev_acc"),
-         dev_gold_bleu=last.get("dev_gold_bleu"))
+         dev_score=best.get("dev_score"), dev_acc=best.get("dev_acc"),
+         dev_gold_bleu=best.get("dev_gold_bleu"))
 
 
 def _load_gold_refs(cfg: dict, corpus) -> dict | None:

@@ -238,8 +238,8 @@ class GoldReferences:
 
     refs: dict[tuple[str, str], list[list[Sentence]]]
     lexicon: dict[str, str]  # token -> counterpart, symmetric
-    x_words: tuple[str, ...] = ()
-    y_words: tuple[str, ...] = ()
+    x_words: tuple[str, ...]
+    y_words: tuple[str, ...]
 
     def apply_gold(self, sentence: Sentence) -> Sentence:
         surface = tuple(self.lexicon.get(t, t) for t in sentence.surface)

@@ -259,7 +259,9 @@ def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
                  gold_refs: dict | None = None) -> dict:
     """Development score: harmonic mean of style accuracy and the
     references-free BLEU of outputs against their own inputs, averaged over
-    the two directions.  Gold-reference numbers ride along when available."""
+    the two directions.  Gold-reference numbers ride along when available.
+    ``out["x2y"]`` and ``out["y2x"]`` hold each direction's own metrics under
+    the names of the averages."""
     out = {}
     for key, model, src_label, tgt_label in (
         ("x2y", model_f, corpus.label_x, corpus.label_y),
@@ -269,21 +271,15 @@ def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
         outputs = model.greedy_decode_batch(inputs, max_len=cfg.max_decode_len)
         candidates = [o.surface for o in outputs]
         acc, _ = style_accuracy(outputs, clf, tgt_label)
-        bleu_self = corpus_bleu(candidates, [[inp.surface] for inp in inputs])
-        metrics = {"acc": acc, "bleu_self": bleu_self,
-                   "score": g2h2(acc, bleu_self)[1]}
+        bleu = corpus_bleu(candidates, [[inp.surface] for inp in inputs])
+        metrics = {"dev_acc": acc, "dev_bleu": bleu, "dev_score": g2h2(acc, bleu)[1]}
         refs = (gold_refs or {}).get((src_label.name, "dev"))
         if refs is not None:
-            bleu_gold = corpus_bleu(candidates, [[r.surface for r in rr] for rr in refs])
-            metrics["bleu_gold"] = bleu_gold
-            metrics["h2_gold"] = g2h2(acc, bleu_gold)[1]
+            gold_bleu = corpus_bleu(candidates, [[r.surface for r in rr] for rr in refs])
+            metrics["dev_gold_bleu"] = gold_bleu
+            metrics["dev_gold_h2"] = g2h2(acc, gold_bleu)[1]
         out[key] = metrics
-    out["dev_acc"] = (out["x2y"]["acc"] + out["y2x"]["acc"]) / 2.0
-    out["dev_bleu"] = (out["x2y"]["bleu_self"] + out["y2x"]["bleu_self"]) / 2.0
-    out["dev_score"] = (out["x2y"]["score"] + out["y2x"]["score"]) / 2.0
-    if "bleu_gold" in out["x2y"]:
-        out["dev_gold_bleu"] = (out["x2y"]["bleu_gold"] + out["y2x"]["bleu_gold"]) / 2.0
-        out["dev_gold_h2"] = (out["x2y"]["h2_gold"] + out["y2x"]["h2_gold"]) / 2.0
+    out.update({name: (out["x2y"][name] + out["y2x"][name]) / 2.0 for name in out["x2y"]})
     return out
 
 

@@ -10,7 +10,7 @@ matches best.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import Sentence, StyleCorpus, StyleLabel, Vocabulary, ngrams
@@ -25,8 +25,8 @@ class StyleLexicon:
     """Marked n-grams per style with salience scores and slot contexts."""
 
     entries: dict[str, dict[tuple[str, ...], float]]
-    contexts: dict[str, dict[tuple[str, ...], tuple[set, set]]] = field(default_factory=dict)
-    style_names: tuple[str, str] = ("", "")
+    contexts: dict[str, dict[tuple[str, ...], tuple[set, set]]]
+    style_names: tuple[str, str]
 
     def other_style(self, style: str) -> str:
         a, b = self.style_names
@@ -68,12 +68,9 @@ def build_style_lexicon(corpus: StyleCorpus, lam: float, gamma: float) -> StyleL
             score = salience(cnt, counts[other].get(gram, 0), lam)
             if score >= gamma:
                 entries[own][gram] = score
-    lex = StyleLexicon(entries=entries, style_names=(name_x, name_y))
-    for label in corpus.labels():
-        lex.contexts[label.name] = _slot_contexts(
-            corpus.of(label, "train"), entries[label.name]
-        )
-    return lex
+    contexts = {label.name: _slot_contexts(corpus.of(label, "train"), entries[label.name])
+                for label in corpus.labels()}
+    return StyleLexicon(entries=entries, contexts=contexts, style_names=(name_x, name_y))
 
 
 def _slot_contexts(sentences: list[Sentence],

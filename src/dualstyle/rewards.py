@@ -45,16 +45,10 @@ def content_reward_batch(back_model: Seq2Seq, y_primes: list[Sentence],
     return np.exp(log_probs / lengths)
 
 
-def combine(r_style: float, r_content: float, beta: float) -> float:
-    """Weighted harmonic mean of the two rewards; 0 when both vanish."""
-    denom = beta * beta * r_content + r_style
-    if denom == 0.0:
-        return 0.0
-    return (1.0 + beta * beta) * r_content * r_style / denom
-
-
 def combine_batch(r_style: np.ndarray, r_content: np.ndarray, beta: float) -> np.ndarray:
-    """``combine`` over arrays, element by element, with the same zero rule."""
+    """Weighted harmonic mean of the two rewards, element by element:
+    ``(1 + beta^2) * r_content * r_style / (beta^2 * r_content + r_style)``,
+    and 0 where that denominator is 0."""
     denom = beta * beta * r_content + r_style
     num = (1.0 + beta * beta) * r_content * r_style
     return np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0)

@@ -8,6 +8,7 @@ from dualstyle import autodiff as ad
 from dualstyle.errors import NaNDetectedError, NonScalarLossError
 
 from conftest import square_sum
+from gradcheck import grad_check
 
 RNG = np.random.default_rng(1234)
 
@@ -88,7 +89,7 @@ def test_constant_function_has_zero_gradients():
         zero_w, zero_b = ad.parameter(np.zeros((4, 1))), ad.parameter(np.zeros(1))
         return ad.masked_sum(ad.affine(row, zero_w, zero_b), np.ones((1, 1)))
 
-    assert ad.grad_check(fn, [x]) == 0.0
+    assert grad_check(fn, [x]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def make_primitive_cases():
 def test_primitive_grad_check(name):
     arrays, build = make_primitive_cases()[name]
     params = [ad.parameter(a) for a in arrays]
-    err = ad.grad_check(build, params, rng=np.random.default_rng(0))
+    err = grad_check(build, params, rng=np.random.default_rng(0))
     assert err < 1e-4, f"{name}: max rel err {err}"
 
 
@@ -190,8 +191,8 @@ def test_composed_tanh_network_grad_check():
         h = ad.tanh_affine(ad.parameter(x), params[0], params[1])
         return _mean_sq(ad.affine(h, params[2], params[3]))
 
-    err = ad.grad_check(fn, [w1, b1, w2, b2], samples_per_param=25,
-                        rng=np.random.default_rng(0))
+    err = grad_check(fn, [w1, b1, w2, b2], samples_per_param=25,
+                     rng=np.random.default_rng(0))
     assert err < 1e-4
 
 
@@ -201,7 +202,7 @@ def test_square_grad_check_tight():
     def fn(params):
         return square_sum(params[0])
 
-    assert ad.grad_check(fn, [x], h=1e-5) < 1e-6
+    assert grad_check(fn, [x], h=1e-5) < 1e-6
 
 
 def test_inference_mode_records_nothing():

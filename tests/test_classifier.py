@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dualstyle.classifier import LR, ClassifierConfig, TextClassifier, train_classifier
+from dualstyle.checkpoint import save_checkpoint
+from dualstyle.classifier import (
+    LR,
+    WIDTHS,
+    ClassifierConfig,
+    TextClassifier,
+    predicted_class,
+    train_classifier,
+)
 from dualstyle.corpus import (
     Sentence,
     StyleCorpus,
@@ -28,7 +36,7 @@ def zeroed_classifier(vocab) -> TextClassifier:
 
 def style_accuracy(clf: TextClassifier, sentences, target: StyleLabel) -> float:
     """Share of sentences whose predicted class is the target style (the ACC metric)."""
-    return float((clf.predict(sentences) == target.index).mean())
+    return float((predicted_class(clf.classify_prob_batch(sentences)) == target.index).mean())
 
 
 def test_zero_classifier_is_uniform(small_vocab):
@@ -85,9 +93,9 @@ def test_mixed_accuracy_fraction(small_vocab):
     # widths (1,2,3) all-zero convs; route class via linear bias per call
     clf.params["lin_b"].value = np.array([0.0, 1.0])
     sents = [sentence(small_vocab, "a")] * 3
-    probs_hit = clf.predict(sents)
+    probs_hit = predicted_class(clf.classify_prob_batch(sents))
     clf.params["lin_b"].value = np.array([1.0, 0.0])
-    probs_miss = clf.predict([sentence(small_vocab, "b")])
+    probs_miss = predicted_class(clf.classify_prob_batch([sentence(small_vocab, "b")]))
     preds = np.concatenate([probs_hit, probs_miss])
     acc = float((preds == 1).mean())
     assert acc == 0.75
@@ -97,7 +105,7 @@ def test_training_separable_task(tiny_task, tiny_classifier):
     corpus, gold, vocab = tiny_task
     dev = corpus.of(corpus.label_x, "dev") + corpus.of(corpus.label_y, "dev")
     labels = [0] * len(corpus.of(corpus.label_x, "dev")) + [1] * len(corpus.of(corpus.label_y, "dev"))
-    preds = tiny_classifier.predict(dev)
+    preds = predicted_class(tiny_classifier.classify_prob_batch(dev))
     acc = float((preds == np.array(labels)).mean())
     assert acc >= 0.98
 
@@ -106,7 +114,7 @@ def test_agreement_with_lexicon_oracle(tiny_task, tiny_classifier):
     corpus, gold, vocab = tiny_task
     dev = corpus.of(corpus.label_x, "dev") + corpus.of(corpus.label_y, "dev")
     oracle = np.array([lexicon_oracle_label(s, gold) for s in dev])
-    preds = tiny_classifier.predict(dev)
+    preds = predicted_class(tiny_classifier.classify_prob_batch(dev))
     assert float((preds == oracle).mean()) >= 0.98
 
 
@@ -156,6 +164,22 @@ def test_classifier_checkpoint_round_trip(tiny_task, tiny_classifier, tmp_path):
     assert loaded.frozen
     for k in tiny_classifier.params:
         assert np.array_equal(loaded.params[k].value, tiny_classifier.params[k].value)
+
+
+def test_classifier_checkpoint_with_a_widths_entry_still_loads(tiny_task, tiny_classifier,
+                                                                tmp_path):
+    # the header of a classifier checkpoint once carried its filter widths
+    corpus, _, vocab = tiny_task
+    meta = {"kind": "cls", "embed_dim": tiny_classifier.cfg.embed_dim,
+            "channels": tiny_classifier.cfg.channels, "widths": [1, 2, 3],
+            "frozen": True, "vocab_hash": vocab.content_hash()}
+    save_checkpoint(tmp_path / "cls.ckpt",
+                    {k: p.value for k, p in tiny_classifier.params.items()}, meta)
+    loaded = TextClassifier.load(tmp_path / "cls.ckpt", vocab)
+    assert loaded.frozen
+    dev = corpus.of(corpus.label_x, "dev") + corpus.of(corpus.label_y, "dev")
+    assert np.array_equal(loaded.classify_prob_batch(dev),
+                          tiny_classifier.classify_prob_batch(dev))
 
 
 def _reference_forward_backward(params, widths, ids, lengths, labels):
@@ -213,10 +237,11 @@ def test_classifier_matches_an_einsum_reference_on_a_ragged_batch(small_vocab, m
     labels = np.array([0, 1, 1, 0, 1])
     ids, lengths = clf._prepare(sents)
     assert ids.shape == (5, 6) and lengths[1] == 3
-    probs, want = _reference_forward_backward(clf.params, cfg.widths, ids, lengths, labels)
+    probs, want = _reference_forward_backward(clf.params, WIDTHS, ids, lengths, labels)
 
     assert np.abs(clf.classify_prob_batch(sents) - probs).max() < 1e-12
-    assert np.array_equal(clf.predict(sents), np.where(probs[:, 1] > probs[:, 0], 1, 0))
+    assert np.array_equal(predicted_class(clf.classify_prob_batch(sents)),
+                          np.where(probs[:, 1] > probs[:, 0], 1, 0))
 
     seen = {}
     monkeypatch.setattr("dualstyle.classifier.adam_step",

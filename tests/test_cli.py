@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualstyle import cli
+from dualstyle import cli, dualrl
 from dualstyle.classifier import ClassifierConfig
 from dualstyle.corpus import EOS, SyntheticTaskSpec, epoch_batches
 from dualstyle.dualrl import AnnealSchedule, TrainConfig, evaluate_dev
@@ -71,7 +71,7 @@ def test_transfer_then_evaluate_matches_dev_scores(eos_first_run, tiny_task, tin
     dev = evaluate_dev(run["model_f"], tiny_models[1], tiny_classifier, corpus,
                        TrainConfig(max_decode_len=cli.DEFAULTS["max_decode_len"]),
                        gold_refs=gold.refs)["x2y"]
-    assert dev["acc"] > 0.0 and dev["bleu_gold"] > 0.0
+    assert dev["dev_acc"] > 0.0 and dev["dev_gold_bleu"] > 0.0
 
     out_path, report_dir = run["root"] / "out.txt", run["root"] / "report"
     assert cli.main(["transfer", "--run-dir", str(run["run_dir"]), "--direction", "x2y",
@@ -81,7 +81,7 @@ def test_transfer_then_evaluate_matches_dev_scores(eos_first_run, tiny_task, tin
         "--inputs", str(run["in_path"]), "--report-dir", str(report_dir)]) == 0
     report = json.loads((report_dir / "report.json").read_text())
     assert report["n_sentences"] == len(corpus.of(corpus.label_x, "dev"))
-    assert (report["acc"], report["bleu"]) == (dev["acc"], dev["bleu_gold"])
+    assert (report["acc"], report["bleu"]) == (dev["dev_acc"], dev["dev_gold_bleu"])
     rows = [r.split("\t") for r in (report_dir / "sentences.tsv").read_text().splitlines()[1:]]
     assert [float(r[2]) for r in rows if r[1] == ""] == [0.0] * run["n_empty"]
 
@@ -194,6 +194,25 @@ def test_resume_refuses_models_of_another_size(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error=ValueError" in err and "f_last.ckpt" in err
     assert (tmp_path / "run" / "events.jsonl").read_bytes() == events
+
+
+def test_train_prints_the_dev_metrics_of_its_best_epoch(tmp_path, capsys, monkeypatch):
+    run = _trained_run(tmp_path, commands=("synth", "pretrain-classifier", "pretrain"))
+    scores = iter([30.0, 20.0, 10.0])
+
+    def falling_scores(*args, **kwargs):
+        score = next(scores)
+        return {"dev_acc": score + 1, "dev_bleu": score + 2, "dev_score": score,
+                "dev_gold_bleu": score + 3, "dev_gold_h2": score + 4}
+
+    monkeypatch.setattr(dualrl, "evaluate_dev", falling_scores)
+    capsys.readouterr()
+    # one iteration per epoch; patience 2 stops the run after epoch 2
+    assert run(["train"], dual_batch=40, max_dual_epochs=4, max_iterations=4, patience=2) == 0
+    (line,) = [out for out in capsys.readouterr().out.splitlines()
+               if out.startswith("event=train ")]
+    assert " epochs=3 " in line and " best_epoch=0 " in line
+    assert line.endswith(" dev_score=30.0 dev_acc=31.0 dev_gold_bleu=33.0")
 
 
 def test_interrupted_config_write_keeps_the_run_resumable(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dualstyle.classifier import predicted_class
 from dualstyle.corpus import Sentence, StyleLabel
 from dualstyle.errors import EmptyLineError, LengthMismatchError, MissingReferenceError
 from dualstyle.evaluation import (
@@ -262,7 +263,8 @@ def test_empty_output_is_a_style_miss_in_every_scorer(tmp_path, tiny_task, tiny_
     # a gold transfer (a hit), an empty output, the untransferred input (a miss)
     outputs = [refs[0][0], empty, inputs[2], refs[3][0], empty, inputs[5]]
     kept = [o for o in outputs if o.surface]
-    assert list(tiny_classifier.predict([vocab.to_ids(o) for o in kept])) == [1, 0, 1, 0]
+    probs = tiny_classifier.classify_prob_batch([vocab.to_ids(o) for o in kept])
+    assert list(predicted_class(probs)) == [1, 0, 1, 0]
     expected_bleu = corpus_bleu([o.surface for o in outputs],
                                 [[r.surface for r in rr] for rr in refs])
     assert expected_bleu > 0.0

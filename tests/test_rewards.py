@@ -9,7 +9,6 @@ from dualstyle.corpus import EOS, Sentence, StyleLabel
 from dualstyle.errors import EmptySequenceError
 from dualstyle.rewards import (
     RewardConfig,
-    combine,
     combine_batch,
     combined_rewards,
     content_reward_batch,
@@ -79,6 +78,15 @@ def test_content_reward_rejects_empty(small_vocab):
     model = uniform3_model(small_vocab)
     with pytest.raises(EmptySequenceError):
         content_reward_batch(model, [Sentence((), ())], [sentence(small_vocab, "a")])
+
+
+def combine(r_style: float, r_content: float, beta: float) -> float:
+    """Scalar reference for ``combine_batch``: the weighted harmonic mean of
+    the two rewards, 0 when its denominator vanishes."""
+    denom = beta * beta * r_content + r_style
+    if denom == 0.0:
+        return 0.0
+    return (1.0 + beta * beta) * r_content * r_style / denom
 
 
 def test_combine_direct_value():

@@ -14,6 +14,7 @@ from dualstyle.optim import AdamState
 from dualstyle.seq2seq import Seq2Seq
 
 from conftest import sentence
+from gradcheck import grad_check
 
 
 def enumerate_outcomes(vocab_size: int, max_len: int):
@@ -378,8 +379,8 @@ def test_mle_loss_grad_check(small_vocab):
         total = model._teacher_forced_nll(src_ids, src_mask, tgt_ids, tgt_mask)
         return ad.scale(total, 1.0 / tgt_mask.sum())
 
-    err = ad.grad_check(fn, list(model.params.values()), samples_per_param=15,
-                        rng=np.random.default_rng(2))
+    err = grad_check(fn, list(model.params.values()), samples_per_param=15,
+                     rng=np.random.default_rng(2))
     assert err < 1e-4
 
 
