@@ -30,23 +30,42 @@ from .errors import LengthMismatchError, MissingReferenceError
 MAX_ORDER = 4
 
 
-def _bleu_stats(cand, refs) -> tuple[list[int], list[int], int]:
+class Ngrams:
+    """A token sequence's length and its n-grams of every order up to
+    ``MAX_ORDER``, counted once.
+
+    ``corpus_bleu`` and ``sentence_bleu_smoothed`` take these in place of
+    token sequences, so a sentence scored against several reference sets is
+    counted only once.
+    """
+
+    __slots__ = ("length", "counts")
+
+    def __init__(self, tokens):
+        tokens = tuple(tokens)
+        self.length = len(tokens)
+        self.counts = Counter(g for n in range(1, MAX_ORDER + 1) for g in ngrams(tokens, n))
+
+
+def _counted(tokens) -> Ngrams:
+    return tokens if isinstance(tokens, Ngrams) else Ngrams(tokens)
+
+
+def _bleu_stats(cand: Ngrams, refs: list[Ngrams]) -> tuple[list[int], list[int], int]:
     """Clipped matches and n-gram counts of ``cand`` per order, plus the
     reference length closest to its length (ties go to the shorter).
 
     Each candidate n-gram counts at most as often as it occurs in the
     reference that holds it most often.
     """
-    def counts(tokens):
-        return Counter(g for n in range(1, MAX_ORDER + 1) for g in ngrams(tokens, n))
-    max_ref = Counter()
-    for ref in refs:
-        max_ref |= counts(ref)
+    max_ref = refs[0].counts
+    for ref in refs[1:]:
+        max_ref = max_ref | ref.counts
     matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
-    for gram, cnt in counts(cand).items():
+    for gram, cnt in cand.counts.items():
         matches[len(gram) - 1] += min(cnt, max_ref[gram])
         totals[len(gram) - 1] += cnt
-    closest = min((len(r) for r in refs), key=lambda n: (abs(n - len(cand)), n))
+    closest = min((r.length for r in refs), key=lambda n: (abs(n - cand.length), n))
     return matches, totals, closest
 
 
@@ -54,7 +73,8 @@ def corpus_bleu(candidates, references) -> float:
     """Corpus-level BLEU-4 in [0, 100] over token sequences.
 
     ``candidates`` is a list of token sequences; ``references`` a parallel
-    list of reference sets (each a list of token sequences).
+    list of reference sets (each a list of token sequences).  Any sequence
+    may be given as its ``Ngrams``.
     """
     if len(candidates) != len(references):
         raise LengthMismatchError(
@@ -69,12 +89,11 @@ def corpus_bleu(candidates, references) -> float:
     for cand, refs in zip(candidates, references):
         if not refs:
             raise MissingReferenceError("a candidate has no references")
-        cand = tuple(cand)
-        refs = [tuple(r) for r in refs]
-        cand_matches, cand_totals, closest = _bleu_stats(cand, refs)
+        cand = _counted(cand)
+        cand_matches, cand_totals, closest = _bleu_stats(cand, [_counted(r) for r in refs])
         matches = [m + c for m, c in zip(matches, cand_matches)]
         totals = [t + c for t, c in zip(totals, cand_totals)]
-        cand_length += len(cand)
+        cand_length += cand.length
         ref_length += closest
     if any(m == 0 for m in matches):
         return 0.0
@@ -88,9 +107,10 @@ def sentence_bleu_smoothed(candidate, references) -> float:
 
     It fills the per-sentence ``best_ref_bleu`` of an evaluation report;
     the reported BLEU is always the unsmoothed corpus-level score above.
+    Like ``corpus_bleu``, it takes token sequences or their ``Ngrams``.
     """
-    cand = tuple(candidate)
-    refs = [tuple(r) for r in references]
+    cand = _counted(candidate)
+    refs = [_counted(r) for r in references]
     if not refs:
         raise MissingReferenceError("sentence BLEU needs at least one reference")
     matches, totals, ref_len = _bleu_stats(cand, refs)
@@ -102,7 +122,7 @@ def sentence_bleu_smoothed(candidate, references) -> float:
         if match == 0:
             return 0.0
         log_precision += math.log(match / total) / MAX_ORDER
-    bp = 1.0 if len(cand) > ref_len else math.exp(1.0 - ref_len / max(len(cand), 1))
+    bp = 1.0 if cand.length > ref_len else math.exp(1.0 - ref_len / max(cand.length, 1))
     return 100.0 * bp * math.exp(log_precision)
 
 
@@ -150,9 +170,14 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
                        clf, target: StyleLabel, inputs: list[Sentence] | None = None,
                        ) -> EvalReport:
     """Score already-loaded outputs against reference sets; ``corpus_bleu``
-    runs first and refuses a set count unlike the outputs' or an empty set."""
-    bleu = corpus_bleu([o.surface for o in outputs],
-                       [[r.surface for r in refs] for refs in references])
+    runs first and refuses a set count unlike the outputs' or an empty set.
+
+    Each output and each reference is counted once, for the corpus BLEU and
+    for every ``best_ref_bleu``.
+    """
+    cands = [Ngrams(o.surface) for o in outputs]
+    refsets = [[Ngrams(r.surface) for r in refs] for refs in references]
+    bleu = corpus_bleu(cands, refsets)
     acc, p_target = style_accuracy(outputs, clf, target)
     g2, h2 = g2h2(acc, bleu)
     config_hash = hashlib.sha256(json.dumps({
@@ -160,10 +185,8 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
         "target": target.name,
     }, sort_keys=True).encode()).hexdigest()[:16]
     records = []
-    for i, (out, refs) in enumerate(zip(outputs, references)):
-        best_ref = max(
-            sentence_bleu_smoothed(out.surface, [r.surface]) for r in refs
-        )
+    for i, (out, cand, refs) in enumerate(zip(outputs, cands, refsets)):
+        best_ref = max(sentence_bleu_smoothed(cand, [r]) for r in refs)
         records.append({
             "input": inputs[i].text() if inputs else "",
             "output": out.text(),

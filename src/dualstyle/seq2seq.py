@@ -38,15 +38,18 @@ distinct token id in its input once (``_lstm``) and the cell gathers the
 rows it needs at each step: a decode step of 256 rows projects at most |V|
 rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
 
-Precision policy: the parameters are float64 masters, and so are the Adam
-state and checkpoints.  Every taped pass (``taped_gradients``, which
-``mle_step`` and the policy-gradient update both go through) runs forward and
-backward in float32 on a working copy of the parameters cast from the
-masters, and upcasts the gradients before clipping and the update (mixed
-precision as in Micikevicius et al. 2018, arXiv:1710.03740).  Everything
-else runs in float64: sampling, ``log_prob_batch`` scoring, greedy decoding
-and gradient checks on the masters, so a sample's log-probability still
-matches its rescoring to float64 round-off.
+Precision policy: float64 wherever a log-probability comes out, float32
+wherever only ids or gradients do.  The parameters are float64 masters, and
+so are the Adam state and checkpoints.  Every taped pass
+(``taped_gradients``, which ``mle_step`` and the policy-gradient update both
+go through) and greedy decoding run on ``_working_copy``, float32 parameters
+cast from the masters once per call.  A taped pass upcasts its gradients
+before clipping and the update (mixed precision as in Micikevicius et al.
+2018, arXiv:1710.03740).  Greedy decoding keeps only the argmax ids, which
+float32 changes only where the two best logits lie within its round-off (a
+few 1e-5 at desk size).  Sampling and ``log_prob_batch`` scoring read the
+masters in float64, so a sample's log-probability still matches its
+rescoring to float64 round-off; gradient checks run on the masters too.
 """
 
 from __future__ import annotations
@@ -305,7 +308,8 @@ class Seq2Seq:
         return self._rows_to_sentences(steps), log_probs
 
     def greedy_decode_batch(self, sources: list[Sentence], max_len: int) -> list[Sentence]:
-        steps, _ = self._run_decode(sources, max_len, 1, None, 1.0)
+        """Argmax decoding, run on a float32 working copy: only ids come out."""
+        steps, _ = self._working_copy()._run_decode(sources, max_len, 1, None, 1.0)
         return self._rows_to_sentences(steps)
 
     # -- training -----------------------------------------------------------
@@ -333,12 +337,19 @@ class Seq2Seq:
         clearing; the gradients come back upcast, ready for clipping and
         ``adam_step`` on the masters.
         """
-        work = copy.copy(self)
-        work.params = {k: ad.parameter(p.value.astype(np.float32))
-                       for k, p in self.params.items()}
+        work = self._working_copy()
         loss = _backward_through(loss_fn, work)
         grads = {k: g.astype(np.float64) for k, g in collect_grads(work.params).items()}
         return loss, grads
+
+    def _working_copy(self) -> "Seq2Seq":
+        """A copy of this model whose parameters are float32 leaves cast from
+        the float64 masters, with no gradients: the model of every pass that
+        returns only ids or gradients."""
+        work = copy.copy(self)
+        work.params = {k: ad.parameter(p.value.astype(np.float32))
+                       for k, p in self.params.items()}
+        return work
 
     def mean_nll(self, pairs: list[tuple[Sentence, Sentence]]) -> float:
         """Mean per-token NLL without updating (for perplexity tracking)."""

@@ -1,9 +1,11 @@
-"""The precision policy: taped passes in float32, everything else in float64.
+"""The precision policy: float64 wherever a log-probability comes out,
+float32 wherever only ids or gradients do.
 
-Parameters, Adam moments and checkpoints are float64 masters; ``mle_step``
+Parameters, Adam moments and checkpoints are float64 masters.  ``mle_step``
 and the policy-gradient update differentiate a float32 working copy of them
-and upcast the gradients.  Sampling, rescoring and greedy decoding read the
-masters directly and stay float64.
+and upcast the gradients; greedy decoding runs on the same kind of copy and
+returns only ids.  Sampling and ``log_prob_batch`` read the masters and stay
+float64, so a sample's log-probability matches its rescoring.
 """
 
 import numpy as np
@@ -101,10 +103,11 @@ def test_float32_nll_gradient_matches_float64(small_vocab):
         assert err <= 1e-4, (name, err)
 
 
-# Outputs of the float64 paths for ``_model(small_vocab)`` on ``_sentences(small_vocab,
-# 1, 6)``, recorded before taped passes moved to float32 and reproduced bit
-# for bit after.  Float32 round-off in these paths would show at about 1e-7;
-# the tolerance allows only for another BLAS's summation order.
+# Outputs for ``_model(small_vocab)`` on ``_sentences(small_vocab, 1, 6)``,
+# recorded when every untaped path ran in float64.  Sampling and rescoring
+# still do and reproduce them bit for bit: float32 round-off there would show
+# at about 1e-7, and the tolerance allows only for another BLAS's summation
+# order.  Greedy decoding runs in float32 and must still give the recorded ids.
 GOLDEN_SAMPLES = [
     (6, 3), (2, 6, 4, 6, 3), (7, 8, 3), (0, 2, 7, 1, 0, 2), (5, 8, 4, 6, 7, 2), (2, 6, 3),
     (6, 2, 5, 2, 6, 2), (2, 6, 6, 5, 2, 3), (5, 5, 7, 2, 2, 6), (3,), (6, 6, 2, 2, 8, 2), (3,),
@@ -123,7 +126,8 @@ GOLDEN_GREEDY = [
 def test_untaped_paths_stay_float64(small_vocab):
     model = _model(small_vocab)
     sources = _sentences(small_vocab, 1, 6)
-    # a float32 update of a clone leaves the master's float64 paths alone
+    # a float32 update of a clone leaves the master's float64 paths alone, and
+    # greedy decoding's float32 copy of the master picks the recorded ids
     model.clone().mle_step(list(zip(sources, _sentences(small_vocab, 2, 6))),
                            AdamState(lr=1e-2), 5.0)
     samples, logps = model.sample_batch(sources, 2, np.random.default_rng(4), max_len=6)
@@ -133,3 +137,32 @@ def test_untaped_paths_stay_float64(small_vocab):
     np.testing.assert_allclose(logps, GOLDEN_LOG_PROBS, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rescored, GOLDEN_LOG_PROBS, rtol=1e-12, atol=0)
     assert [s.ids for s in model.greedy_decode_batch(sources, max_len=6)] == GOLDEN_GREEDY
+
+
+def test_greedy_decoding_runs_on_a_float32_copy(small_vocab, monkeypatch):
+    model = _model(small_vocab)
+    masters = {name: p.value.copy() for name, p in model.params.items()}
+    seen = []
+    real_lstm_cell = ad.lstm_cell
+
+    def recording_lstm_cell(xw, index, hc, wh):
+        seen.append((xw.value.dtype, wh.value.dtype, None if hc is None else hc.value.dtype))
+        return real_lstm_cell(xw, index, hc, wh)
+
+    monkeypatch.setattr(ad, "lstm_cell", recording_lstm_cell)
+    model.greedy_decode_batch(_sentences(small_vocab, 1, 6), max_len=6)
+    # both halves: the encoder from the zero state, then decode steps
+    assert len(seen) > 2
+    assert {dtype for dtypes in seen for dtype in dtypes} - {None} == {np.dtype(np.float32)}
+    for name, p in model.params.items():
+        assert p.value.dtype == np.float64 and p.grad is None
+        assert np.array_equal(p.value, masters[name])
+
+
+def test_greedy_ids_equal_a_float64_decode_of_the_masters(small_vocab):
+    model = _model(small_vocab)
+    sources = _sentences(small_vocab, 9, 11, max_len=6)  # ragged, split 6 + 5 in halves
+    greedy = model.greedy_decode_batch(sources, max_len=8)
+    steps, _ = model._run_decode(sources, 8, 1, None, 1.0)
+    assert [s.ids for s in greedy] == [s.ids for s in model._rows_to_sentences(steps)]
+    assert len({len(s.ids) for s in greedy}) > 1  # rows leave the step loop at different steps
