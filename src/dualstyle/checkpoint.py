@@ -4,13 +4,16 @@ Layout: magic line, one JSON header line listing metadata and parameter
 entries (name, shape, dtype), then the arrays' row-major bytes concatenated
 in header order.  Writing is byte-deterministic for identical inputs and
 round-trips float64 losslessly.  A write goes through ``write_atomic``, so a
-crash mid-write leaves the previous checkpoint whole; loading rejects a
-payload whose length differs from what the header lists.
+crash mid-write leaves the previous checkpoint whole.  Loading reads each
+array straight into its own ``np.empty`` buffer, so a load holds each payload
+once, and rejects a payload whose length differs from what the header lists.
 
 ``save_model`` and ``load_model`` are the one path for a model's weights:
 the file stores the model's ``params`` with its vocabulary's hash, and a
 load refuses a file built for another vocabulary or holding other
-parameter names or shapes than the model it builds.
+parameter names or shapes than the model it builds.  The loaders build
+their models from ``np.empty`` parameters for ``load_model`` to fill, so
+loading draws no random initialisation.
 """
 
 from __future__ import annotations
@@ -77,13 +80,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"unsupported checkpoint version {header['version']}")
         arrays = {}
         for entry in header["params"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            arr = np.empty(entry["shape"], dtype=np.dtype(entry["dtype"]))
+            got = fh.readinto(arr.reshape(-1).view(np.uint8))
+            if got != arr.nbytes:
                 raise ValueError(f"{path} is truncated: {entry['name']!r} has "
-                                 f"{len(raw)} of {count * dtype.itemsize} bytes")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+                                 f"{got} of {arr.nbytes} bytes")
+            arrays[entry["name"]] = arr
         extra = len(fh.read())
         if extra:
             raise ValueError(f"{path} has {extra} bytes past the arrays its header lists")

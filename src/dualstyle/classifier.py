@@ -48,16 +48,27 @@ class TextClassifier:
         self.vocab = vocab
         self.frozen = False
         rng = np.random.default_rng(self.cfg.seed)
-        v, e, ch = len(vocab), self.cfg.embed_dim, self.cfg.channels
+
+        def draw(name, shape):
+            if name == "embed":
+                return rng.normal(0.0, 0.01, shape)
+            if name.endswith("_b"):
+                return np.zeros(shape)
+            return rng.uniform(-0.08, 0.08, shape)
+
         self.params: dict[str, ad.Tensor] = {
-            "embed": ad.parameter(rng.normal(0.0, 0.01, (v, e))),
-        }
+            name: ad.parameter(draw(name, shape)) for name, shape in self._param_shapes().items()}
+
+    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape by name, in the order ``__init__`` draws them."""
+        e, ch = self.cfg.embed_dim, self.cfg.channels
+        shapes = {"embed": (len(self.vocab), e)}
         for w in WIDTHS:
-            self.params[f"conv{w}_w"] = ad.parameter(rng.uniform(-0.08, 0.08, (w, e, ch)))
-            self.params[f"conv{w}_b"] = ad.parameter(np.zeros(ch))
-        feat = ch * len(WIDTHS)
-        self.params["lin_w"] = ad.parameter(rng.uniform(-0.08, 0.08, (feat, 2)))
-        self.params["lin_b"] = ad.parameter(np.zeros(2))
+            shapes[f"conv{w}_w"] = (w, e, ch)
+            shapes[f"conv{w}_b"] = (ch,)
+        shapes["lin_w"] = (ch * len(WIDTHS), 2)
+        shapes["lin_b"] = (2,)
+        return shapes
 
     def _prepare(self, sentences: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Content ids (EOS stripped), right-padded to at least the widest filter."""
@@ -116,10 +127,14 @@ class TextClassifier:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "TextClassifier":
+        """The classifier saved at ``path``, built like ``Seq2Seq.load``: from
+        ``np.empty`` parameters that ``load_model`` checks and fills."""
         def build(meta):
-            clf = cls(vocab, ClassifierConfig(embed_dim=meta["embed_dim"],
-                                              channels=meta["channels"]))
-            clf.frozen = meta["frozen"]
+            clf = cls.__new__(cls)
+            clf.vocab, clf.frozen = vocab, meta["frozen"]
+            clf.cfg = ClassifierConfig(embed_dim=meta["embed_dim"], channels=meta["channels"])
+            clf.params = {name: ad.parameter(np.empty(shape))
+                          for name, shape in clf._param_shapes().items()}
             return clf
         return load_model(path, vocab, build)
 

@@ -33,7 +33,7 @@ from .checkpoint import load_checkpoint, load_model, save_checkpoint, write_atom
 from .classifier import TextClassifier
 from .corpus import Sentence, StyleCorpus, epoch_batches, pad_batch
 from .errors import InvalidSpecError, StateMismatchError
-from .evaluation import Ngrams, corpus_bleu, g2h2, style_accuracy
+from .evaluation import corpus_bleu, g2h2, style_accuracy
 from .optim import AdamState, adam_step, clip_global_norm
 from .pseudo import PseudoPair, back_translate_batch
 from .rewards import RewardConfig, combined_rewards, distinct_pairs
@@ -269,7 +269,7 @@ def evaluate_dev(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
     ):
         inputs = corpus.of(src_label, "dev")
         outputs = model.greedy_decode_batch(inputs, max_len=cfg.max_decode_len)
-        candidates = [Ngrams(o.surface) for o in outputs]  # counted once for both BLEUs
+        candidates = [o.surface for o in outputs]
         acc, _ = style_accuracy(outputs, clf, tgt_label)
         bleu = corpus_bleu(candidates, [[inp.surface] for inp in inputs])
         metrics = {"dev_acc": acc, "dev_bleu": bleu, "dev_score": g2h2(acc, bleu)[1]}

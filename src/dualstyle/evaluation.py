@@ -4,6 +4,13 @@
 n-gram counts against the maximum per-reference count, brevity penalty from
 the closest reference length (ties broken toward the shorter reference), and
 a hard zero when any n-gram order has no match corpus-wide.
+``sentence_bleu_smoothed`` scores each candidate of a batch on its own.
+
+Both count through ``_bleu_stats``, on integer arrays: tokens are interned
+to ints, each order's n-grams get ids from ``np.unique`` on the pair (id of
+the first n-1 tokens, last token), and matches are counted and clipped by
+sorting and ``searchsorted``.  The counts are exact integers, so every
+score is bit for bit what counting n-gram by n-gram gives.
 
 ``style_accuracy`` is the one ACC rule, shared by file evaluation and the dev
 score that selects checkpoints.  An empty output (a model that emits EOS
@@ -17,84 +24,102 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import predicted_class
-from .corpus import Sentence, StyleLabel, ngrams, read_references, read_sentences, tokenize
+from .corpus import Sentence, StyleLabel, read_references, read_sentences, tokenize
 from .errors import LengthMismatchError, MissingReferenceError
 
 MAX_ORDER = 4
 
 
-class Ngrams:
-    """A token sequence's length and its n-grams of every order up to
-    ``MAX_ORDER``, counted once.
-
-    ``corpus_bleu`` and ``sentence_bleu_smoothed`` take these in place of
-    token sequences, so a sentence scored against several reference sets is
-    counted only once.
-    """
-
-    __slots__ = ("length", "counts")
-
-    def __init__(self, tokens):
-        tokens = tuple(tokens)
-        self.length = len(tokens)
-        self.counts = Counter(g for n in range(1, MAX_ORDER + 1) for g in ngrams(tokens, n))
-
-
-def _counted(tokens) -> Ngrams:
-    return tokens if isinstance(tokens, Ngrams) else Ngrams(tokens)
-
-
-def _bleu_stats(cand: Ngrams, refs: list[Ngrams]) -> tuple[list[int], list[int], int]:
-    """Clipped matches and n-gram counts of ``cand`` per order, plus the
-    reference length closest to its length (ties go to the shorter).
+def _bleu_stats(candidates, references):
+    """Every candidate's clipped n-gram matches and n-gram counts per order,
+    as (N, ``MAX_ORDER``) int arrays, plus its length and the reference
+    length closest to it (ties go to the shorter), as (N,) int arrays.
 
     Each candidate n-gram counts at most as often as it occurs in the
-    reference that holds it most often.
+    reference of its set that holds it most often.  Every set must hold at
+    least one reference.
     """
-    max_ref = refs[0].counts
-    for ref in refs[1:]:
-        max_ref = max_ref | ref.counts
-    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
-    for gram, cnt in cand.counts.items():
-        matches[len(gram) - 1] += min(cnt, max_ref[gram])
-        totals[len(gram) - 1] += cnt
-    closest = min((r.length for r in refs), key=lambda n: (abs(n - cand.length), n))
-    return matches, totals, closest
+    seqs = [*candidates, *(r for refs in references for r in refs)]
+    flat = list(chain.from_iterable(seqs))
+    # A token's id is the place of its first occurrence in ``flat``; every
+    # token and n-gram id is below ``bound``, so no key below overflows.
+    first_seen = {}
+    tokens = np.fromiter(map(first_seen.setdefault, flat, count()), np.int64, len(flat))
+    bound = max(len(flat), 1)
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    n_cands = len(candidates)
+    set_sizes = np.fromiter(map(len, references), np.int64, n_cands)
+    set_starts = np.cumsum(set_sizes) - set_sizes
+    widest = int(set_sizes.max(initial=1))
+    # Per sequence: the candidate it belongs to, and its column in that set
+    # (a candidate is column 0 of its own).
+    owner = np.concatenate([np.arange(n_cands), np.repeat(np.arange(n_cands), set_sizes)])
+    column = np.concatenate([np.zeros(n_cands, np.int64),
+                             np.arange(set_sizes.sum()) - np.repeat(set_starts, set_sizes)])
+    seq_of = np.repeat(np.arange(len(seqs)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(flat))  # tokens left
+
+    cand_len = lengths[:n_cands]
+    matches = np.zeros((n_cands, MAX_ORDER), np.int64)
+    gram = tokens  # the id of the n-gram starting at each token
+    for n in range(1, MAX_ORDER + 1):
+        starts = np.flatnonzero(room >= n)
+        if n > 1:
+            key = gram[starts] * bound + tokens[starts + n - 1]
+            gram = np.zeros_like(tokens)
+            gram[starts] = np.unique(key, return_inverse=True)[1]
+        seq = seq_of[starts]
+        pair = owner[seq] * bound + gram[starts]  # (candidate, n-gram)
+        in_cand = seq < n_cands
+        cand_pairs, cand_counts = np.unique(pair[in_cand], return_counts=True)
+        # Count each pair in each reference, then keep the most any one
+        # reference of the set holds.  The slot past the last pair holds 0.
+        ref_keys, ref_counts = np.unique(pair[~in_cand] * widest + column[seq[~in_cand]],
+                                         return_counts=True)
+        ref_pairs, slot = np.unique(ref_keys // widest, return_inverse=True)
+        most = np.zeros(len(ref_pairs) + 1, np.int64)
+        np.maximum.at(most, slot, ref_counts)
+        at = np.searchsorted(ref_pairs, cand_pairs)
+        held = np.where(np.append(ref_pairs, -1)[at] == cand_pairs, most[at], 0)
+        matches[:, n - 1] = np.bincount(cand_pairs // bound, np.minimum(cand_counts, held),
+                                        minlength=n_cands)
+    totals = np.maximum(cand_len[:, None] - np.arange(MAX_ORDER), 0)
+    ref_len, ref_owner = lengths[n_cands:], owner[n_cands:]
+    order = np.lexsort((ref_len, np.abs(ref_len - cand_len[ref_owner]), ref_owner))
+    return matches, totals, cand_len, ref_len[order[set_starts]]
+
+
+def _check_sets(candidates, references, missing: str) -> None:
+    """Refuse a set count unlike the candidates', then an empty set."""
+    if len(candidates) != len(references):
+        raise LengthMismatchError(
+            f"{len(candidates)} candidates vs {len(references)} reference sets"
+        )
+    if not all(references):
+        raise MissingReferenceError(missing)
 
 
 def corpus_bleu(candidates, references) -> float:
     """Corpus-level BLEU-4 in [0, 100] over token sequences.
 
     ``candidates`` is a list of token sequences; ``references`` a parallel
-    list of reference sets (each a list of token sequences).  Any sequence
-    may be given as its ``Ngrams``.
+    list of reference sets (each a list of token sequences).
     """
-    if len(candidates) != len(references):
-        raise LengthMismatchError(
-            f"{len(candidates)} candidates vs {len(references)} reference sets"
-        )
+    _check_sets(candidates, references, "a candidate has no references")
     if not candidates:
         raise LengthMismatchError("empty evaluation set")
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    cand_length = 0
-    ref_length = 0
-    for cand, refs in zip(candidates, references):
-        if not refs:
-            raise MissingReferenceError("a candidate has no references")
-        cand = _counted(cand)
-        cand_matches, cand_totals, closest = _bleu_stats(cand, [_counted(r) for r in refs])
-        matches = [m + c for m, c in zip(matches, cand_matches)]
-        totals = [t + c for t, c in zip(totals, cand_totals)]
-        cand_length += cand.length
-        ref_length += closest
+    cand_matches, cand_totals, cand_len, closest = _bleu_stats(candidates, references)
+    matches = cand_matches.sum(axis=0).tolist()
+    totals = cand_totals.sum(axis=0).tolist()
+    cand_length = int(cand_len.sum())
+    ref_length = int(closest.sum())
     if any(m == 0 for m in matches):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
@@ -102,18 +127,19 @@ def corpus_bleu(candidates, references) -> float:
     return 100.0 * bp * math.exp(log_precision)
 
 
-def sentence_bleu_smoothed(candidate, references) -> float:
-    """Sentence-level BLEU-4 in [0, 100] with add-1 smoothing on orders >= 2.
+def sentence_bleu_smoothed(candidates, references) -> list[float]:
+    """Sentence-level BLEU-4 in [0, 100] of each candidate against its own
+    reference set, with add-1 smoothing on orders >= 2.
 
     It fills the per-sentence ``best_ref_bleu`` of an evaluation report;
     the reported BLEU is always the unsmoothed corpus-level score above.
-    Like ``corpus_bleu``, it takes token sequences or their ``Ngrams``.
     """
-    cand = _counted(candidate)
-    refs = [_counted(r) for r in references]
-    if not refs:
-        raise MissingReferenceError("sentence BLEU needs at least one reference")
-    matches, totals, ref_len = _bleu_stats(cand, refs)
+    _check_sets(candidates, references, "sentence BLEU needs at least one reference")
+    stats = _bleu_stats(candidates, references)
+    return [_smoothed(*row) for row in zip(*(a.tolist() for a in stats))]
+
+
+def _smoothed(matches: list[int], totals: list[int], length: int, ref_len: int) -> float:
     log_precision = 0.0
     for n, match, total in zip(range(1, MAX_ORDER + 1), matches, totals):
         if n >= 2:
@@ -122,7 +148,7 @@ def sentence_bleu_smoothed(candidate, references) -> float:
         if match == 0:
             return 0.0
         log_precision += math.log(match / total) / MAX_ORDER
-    bp = 1.0 if cand.length > ref_len else math.exp(1.0 - ref_len / max(cand.length, 1))
+    bp = 1.0 if length > ref_len else math.exp(1.0 - ref_len / max(length, 1))
     return 100.0 * bp * math.exp(log_precision)
 
 
@@ -172,12 +198,15 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
     """Score already-loaded outputs against reference sets; ``corpus_bleu``
     runs first and refuses a set count unlike the outputs' or an empty set.
 
-    Each output and each reference is counted once, for the corpus BLEU and
-    for every ``best_ref_bleu``.
+    ``best_ref_bleu`` is the best smoothed sentence BLEU against any single
+    reference: one ``sentence_bleu_smoothed`` call per reference column, a
+    set with fewer references repeating its last one.
     """
-    cands = [Ngrams(o.surface) for o in outputs]
-    refsets = [[Ngrams(r.surface) for r in refs] for refs in references]
+    cands = [o.surface for o in outputs]
+    refsets = [[r.surface for r in refs] for refs in references]
     bleu = corpus_bleu(cands, refsets)
+    columns = [sentence_bleu_smoothed(cands, [[refs[min(j, len(refs) - 1)]] for refs in refsets])
+               for j in range(max(map(len, refsets)))]
     acc, p_target = style_accuracy(outputs, clf, target)
     g2, h2 = g2h2(acc, bleu)
     config_hash = hashlib.sha256(json.dumps({
@@ -185,13 +214,12 @@ def evaluate_sentences(outputs: list[Sentence], references: list[list[Sentence]]
         "target": target.name,
     }, sort_keys=True).encode()).hexdigest()[:16]
     records = []
-    for i, (out, cand, refs) in enumerate(zip(outputs, cands, refsets)):
-        best_ref = max(sentence_bleu_smoothed(cand, [r]) for r in refs)
+    for i, (out, *scores) in enumerate(zip(outputs, *columns)):
         records.append({
             "input": inputs[i].text() if inputs else "",
             "output": out.text(),
             "p_target_style": float(p_target[i]),
-            "best_ref_bleu": best_ref,
+            "best_ref_bleu": max(scores),
         })
     return EvalReport(acc=acc, bleu=bleu, g2=g2, h2=h2, n_sentences=len(outputs),
                       config_hash=config_hash, records=records)

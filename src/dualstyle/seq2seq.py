@@ -38,6 +38,11 @@ distinct token id in its input once (``_lstm``) and the cell gathers the
 rows it needs at each step: a decode step of 256 rows projects at most |V|
 rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
 
+``_param_shapes`` names every parameter and its shape once, in the order
+``__init__`` draws them; that order fixes every seeded model.  ``load``
+builds ``np.empty`` parameters from the same table for
+``checkpoint.load_model`` to check and fill, so a load draws nothing.
+
 Precision policy: float64 wherever a log-probability comes out, float32
 wherever only ids or gradients do.  The parameters are float64 masters, and
 so are the Adam state and checkpoints.  Every taped pass
@@ -112,25 +117,34 @@ class Seq2Seq:
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.direction = direction
-        v, e, h = len(vocab), embed_dim, hidden_dim
         rng = np.random.default_rng(seed)
 
-        def uni(*shape):
-            return ad.parameter(rng.uniform(-init_scale, init_scale, shape))
+        def draw(name, shape):
+            if name == "embed":
+                return rng.normal(0.0, embed_scale, shape)
+            if name.endswith("_b"):
+                return np.zeros(shape)
+            return rng.uniform(-init_scale, init_scale, shape)
 
         self.params: dict[str, ad.Tensor] = {
-            "embed": ad.parameter(rng.normal(0.0, embed_scale, (v, e))),
-            "enc_wx": uni(e, 4 * h),
-            "enc_wh": uni(h, 4 * h),
-            "enc_b": ad.parameter(np.zeros(4 * h)),
-            "dec_wx": uni(e, 4 * h),
-            "dec_wh": uni(h, 4 * h),
-            "dec_b": ad.parameter(np.zeros(4 * h)),
-            "att_w": uni(h, h),
-            "comb_w": uni(2 * h, h),
-            "comb_b": ad.parameter(np.zeros(h)),
-            "out_w": uni(h, v),
-            "out_b": ad.parameter(np.zeros(v)),
+            name: ad.parameter(draw(name, shape)) for name, shape in self._param_shapes().items()}
+
+    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape by name, in the order ``__init__`` draws them."""
+        v, e, h = len(self.vocab), self.embed_dim, self.hidden_dim
+        return {
+            "embed": (v, e),
+            "enc_wx": (e, 4 * h),
+            "enc_wh": (h, 4 * h),
+            "enc_b": (4 * h,),
+            "dec_wx": (e, 4 * h),
+            "dec_wh": (h, 4 * h),
+            "dec_b": (4 * h,),
+            "att_w": (h, h),
+            "comb_w": (2 * h, h),
+            "comb_b": (h,),
+            "out_w": (h, v),
+            "out_b": (v,),
         }
 
     # -- forward pieces ----------------------------------------------------
@@ -372,6 +386,14 @@ class Seq2Seq:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "Seq2Seq":
-        return load_model(path, vocab, lambda meta: cls(
-            vocab, embed_dim=meta["embed_dim"], hidden_dim=meta["hidden_dim"],
-            direction=meta["direction"], seed=0))
+        """The model saved at ``path``.  Its parameters start as ``np.empty``
+        arrays of ``_param_shapes``, which ``load_model`` checks and fills, so a
+        load draws no random numbers."""
+        def build(meta):
+            model = cls.__new__(cls)
+            model.vocab, model.direction = vocab, meta["direction"]
+            model.embed_dim, model.hidden_dim = meta["embed_dim"], meta["hidden_dim"]
+            model.params = {name: ad.parameter(np.empty(shape))
+                            for name, shape in model._param_shapes().items()}
+            return model
+        return load_model(path, vocab, build)

@@ -166,6 +166,24 @@ def test_classifier_checkpoint_round_trip(tiny_task, tiny_classifier, tmp_path):
         assert np.array_equal(loaded.params[k].value, tiny_classifier.params[k].value)
 
 
+def test_classifier_load_draws_no_random_numbers(tiny_task, tiny_classifier, tmp_path,
+                                                  monkeypatch):
+    corpus, _, vocab = tiny_task
+    tiny_classifier.save(tmp_path / "cls.ckpt")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("TextClassifier.load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = TextClassifier.load(tmp_path / "cls.ckpt", vocab)
+    assert list(loaded.params) == list(tiny_classifier.params)
+    for k, p in tiny_classifier.params.items():
+        assert loaded.params[k].value.tobytes() == p.value.tobytes()
+    dev = corpus.of(corpus.label_x, "dev")[:20]
+    assert (loaded.classify_prob_batch(dev).tobytes()
+            == tiny_classifier.classify_prob_batch(dev).tobytes())
+
+
 def test_classifier_checkpoint_with_a_widths_entry_still_loads(tiny_task, tiny_classifier,
                                                                 tmp_path):
     # the header of a classifier checkpoint once carried its filter widths

@@ -146,14 +146,14 @@ def test_missing_reference_rejected():
 
 
 def test_smoothed_sentence_bleu_values():
-    assert sentence_bleu_smoothed(toks("a b c d e"), [toks("a b c d e")]) == \
+    assert sentence_bleu_smoothed([toks("a b c d e")], [[toks("a b c d e")]])[0] == \
         pytest.approx(100.0, abs=1e-9)
     # p1 = 4/5; smoothed p2 = (3+1)/(4+1), p3 = (2+1)/(3+1), p4 = (1+1)/(2+1)
     expected = 100.0 * (0.8 * 0.8 * 0.75 * (2 / 3)) ** 0.25
     assert expected == pytest.approx(75.2128, abs=1e-3)
-    assert sentence_bleu_smoothed(toks("a b c d f"), [toks("a b c d e")]) == \
+    assert sentence_bleu_smoothed([toks("a b c d f")], [[toks("a b c d e")]])[0] == \
         pytest.approx(expected, abs=1e-9)
-    assert sentence_bleu_smoothed(toks("x y"), [toks("a b")]) == 0.0
+    assert sentence_bleu_smoothed([toks("x y")], [[toks("a b")]]) == [0.0]
 
 
 def _reference_stats(cand, refs):
@@ -209,8 +209,49 @@ def test_bleu_matches_a_per_order_reference(cases):
     cands = [c for c, _ in cases]
     refsets = [r for _, r in cases]
     assert corpus_bleu(cands, refsets) == _reference_corpus_bleu(cands, refsets)
-    for cand, refs in cases:
-        assert sentence_bleu_smoothed(cand, refs) == _reference_sentence_bleu(cand, refs)
+    assert sentence_bleu_smoothed(cands, refsets) == [
+        _reference_sentence_bleu(cand, refs) for cand, refs in cases]
+
+
+_words = st.integers(0, 49_999).map(lambda i: f"w{i}")
+
+
+@st.composite
+def _large_alphabet_case(draw):
+    """A candidate of up to 40 tokens from a few of 50k types, so that its
+    n-grams repeat, and 1-3 references that each keep a prefix and a suffix
+    of it around other tokens."""
+    pool = draw(st.lists(_words, min_size=1, max_size=8))
+    cand = draw(st.lists(st.sampled_from(pool), max_size=40))
+    refs = []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(cand)))
+        j = draw(st.integers(i, len(cand)))
+        middle = draw(st.lists(st.one_of(st.sampled_from(pool), _words), max_size=8))
+        refs.append(tuple(cand[:i] + middle + cand[j:]))
+    return tuple(cand), refs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_large_alphabet_case(), min_size=1, max_size=4))
+def test_bleu_on_a_large_alphabet_matches_a_per_order_reference(cases):
+    cands = [c for c, _ in cases]
+    refsets = [r for _, r in cases]
+    assert corpus_bleu(cands, refsets) == _reference_corpus_bleu(cands, refsets)
+    assert sentence_bleu_smoothed(cands, refsets) == [
+        _reference_sentence_bleu(cand, refs) for cand, refs in cases]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases=st.lists(st.one_of(_case, _large_alphabet_case()), min_size=1, max_size=5))
+def test_best_ref_bleu_is_the_best_single_reference(tiny_task, tiny_classifier, cases):
+    corpus, _, _ = tiny_task
+    outputs = [Sentence(surface=c) for c, _ in cases]
+    references = [[Sentence(surface=r) for r in refs] for _, refs in cases]
+    report = evaluate_sentences(outputs, references, tiny_classifier,
+                                StyleLabel(1, corpus.label_y.name))
+    assert [r["best_ref_bleu"] for r in report.records] == [
+        max(_reference_sentence_bleu(cand, [r]) for r in refs) for cand, refs in cases]
 
 
 def test_evaluate_files_end_to_end(tmp_path, tiny_task, tiny_classifier):

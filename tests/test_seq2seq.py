@@ -418,3 +418,21 @@ def test_clone_and_checkpoint_round_trip(small_vocab, tmp_path):
 
     with pytest.raises(ValueError):
         Seq2Seq.load(tmp_path / "m.ckpt", Vocabulary(["zzz"]))
+
+
+def test_load_draws_no_random_numbers(small_vocab, tmp_path, monkeypatch):
+    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=35, init_scale=0.6,
+                    embed_scale=1.0)
+    model.save(tmp_path / "m.ckpt")
+    sources = [sentence(small_vocab, *words.split()) for words in ("a b c", "e d", "b")]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("Seq2Seq.load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = Seq2Seq.load(tmp_path / "m.ckpt", small_vocab)
+    assert list(loaded.params) == list(model.params)
+    for k, p in model.params.items():
+        assert loaded.params[k].value.tobytes() == p.value.tobytes()
+    assert ([s.ids for s in loaded.greedy_decode_batch(sources, max_len=6)]
+            == [s.ids for s in model.greedy_decode_batch(sources, max_len=6)])
