@@ -71,6 +71,27 @@ def parameter(value) -> Tensor:
     return Tensor(arr if arr.dtype.kind == "f" else arr.astype(np.float64))
 
 
+# Every model's initial weights: the ``embed`` table from N(0, EMBED_STD),
+# each ``*_b`` bias zero, every other weight from U(-INIT_SCALE, INIT_SCALE)
+# (the LSTM initialisation of Sutskever et al. 2014, arXiv:1409.3215).
+EMBED_STD, INIT_SCALE = 0.01, 0.08
+
+
+def initial_parameters(shapes: dict[str, tuple[int, ...]], seed) -> dict[str, Tensor]:
+    """A parameter per entry of ``shapes``, drawn in its order from one
+    generator seeded with ``seed``; a zero bias draws nothing."""
+    rng = np.random.default_rng(seed)
+
+    def draw(name, shape):
+        if name == "embed":
+            return rng.normal(0.0, EMBED_STD, shape)
+        if name.endswith("_b"):
+            return np.zeros(shape)
+        return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+
+    return {name: parameter(draw(name, shape)) for name, shape in shapes.items()}
+
+
 def _record(value, vjp) -> Tensor:
     tapes = _TAPES.stack
     if tapes:

@@ -47,17 +47,7 @@ class TextClassifier:
         self.cfg = cfg
         self.vocab = vocab
         self.frozen = False
-        rng = np.random.default_rng(self.cfg.seed)
-
-        def draw(name, shape):
-            if name == "embed":
-                return rng.normal(0.0, 0.01, shape)
-            if name.endswith("_b"):
-                return np.zeros(shape)
-            return rng.uniform(-0.08, 0.08, shape)
-
-        self.params: dict[str, ad.Tensor] = {
-            name: ad.parameter(draw(name, shape)) for name, shape in self._param_shapes().items()}
+        self.params = ad.initial_parameters(self._param_shapes(), cfg.seed)
 
     def _param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Every parameter's shape by name, in the order ``__init__`` draws them."""

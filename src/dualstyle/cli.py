@@ -9,10 +9,10 @@ saved one in anything but the iteration and epoch budgets.
 
 Each default is written once.  A key that fills a field of a library config
 object (``SyntheticTaskSpec``, ``TrainConfig``, ``RewardConfig``,
-``AnnealSchedule``, ``ClassifierConfig``) takes that field's default and
-shares its name, unless ``RENAMED`` names the field; ``seed`` fills three of
-them.  Only the keys that feed function parameters (model sizes, vocabulary
-and lexicon settings) and the two paths are written out in ``DEFAULTS``.
+``ClassifierConfig``) takes that field's default and shares its name, unless
+``RENAMED`` names the field; ``seed`` fills three of them.  Only the keys
+that feed function parameters (model sizes, vocabulary and lexicon
+settings) and the two paths are written out in ``DEFAULTS``.
 A config file's values must have their defaults' JSON types.
 """
 
@@ -50,7 +50,7 @@ from .corpus import (
     save_corpus,
     save_references,
 )
-from .dualrl import AnnealSchedule, TrainConfig, train
+from .dualrl import TrainConfig, train
 from .errors import DualStyleError, EmptySequenceError
 from .evaluation import evaluate
 from .rewards import RewardConfig
@@ -61,12 +61,10 @@ RENAMED = {
     (ClassifierConfig, "embed_dim"): "cls_embed_dim",
     (ClassifierConfig, "channels"): "cls_channels",
     (ClassifierConfig, "epochs"): "cls_epochs",
-    (AnnealSchedule, "rate"): "anneal_rate",
-    (AnnealSchedule, "gap"): "anneal_gap",
 }
 
-# Fields that no config key fills: the two nested configs.
-UNKEYED = {(TrainConfig, "reward"), (TrainConfig, "schedule")}
+# Fields that no config key fills: the nested config.
+UNKEYED = {(TrainConfig, "reward")}
 
 
 def _keys(cls) -> dict[str, str]:
@@ -82,8 +80,7 @@ def _build(cls, cfg: dict, **nested):
 
 DEFAULTS: dict = {
     **{key: getattr(default, field)
-       for default in (SyntheticTaskSpec(), TrainConfig(), RewardConfig(),
-                       AnnealSchedule(), ClassifierConfig())
+       for default in (SyntheticTaskSpec(), TrainConfig(), RewardConfig(), ClassifierConfig())
        for key, field in _keys(type(default)).items()},
     # keys that feed Seq2Seq, build_vocab and build_style_lexicon
     "embed_dim": 300,
@@ -153,8 +150,7 @@ def task_spec(cfg: dict) -> SyntheticTaskSpec:
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return _build(TrainConfig, cfg, reward=_build(RewardConfig, cfg),
-                  schedule=_build(AnnealSchedule, cfg))
+    return _build(TrainConfig, cfg, reward=_build(RewardConfig, cfg))
 
 
 def write_config(cfg: dict, run_dir) -> None:

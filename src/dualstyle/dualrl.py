@@ -6,7 +6,8 @@ as the iteration found them: x->y transfers of a style-x batch, then y->x
 transfers of a style-y batch, each scored by the frozen classifier and by the
 opposite model's reconstruction probability.  Then, one direction at a time,
 it takes that direction's policy-gradient update (``rl_step``) and, if the
-annealed schedule fires, one MLE step on pairs back-translated by the live
+annealed schedule fires (``anneal_interval``, whose one setting is
+``TrainConfig.anneal_gap``), one MLE step on pairs back-translated by the live
 opposite model.  Both directions share one teacher-forcing trigger: the
 schedule is asked once per iteration, and its answer holds for both MLE steps.
 
@@ -42,32 +43,22 @@ from .seq2seq import Seq2Seq
 ABLATIONS = ("rl_plus_mle", "rl_only", "mle_only")
 
 
-@dataclass
-class AnnealSchedule:
-    """Exponential growth of the teacher-forcing interval, capped."""
-
-    p0: float = 1.0
-    p_max: float = 100.0
-    rate: float = 1.1
-    gap: float = 1000.0
-
-    def __post_init__(self):
-        if not self.rate > 1.0:
-            raise ValueError("rate must exceed 1")
-        if not (self.p0 > 0 and self.gap > 0):
-            raise ValueError("p0 and gap must be positive")
-        if not self.p0 <= self.p_max:
-            raise ValueError("p_max must be at least p0")
+# The annealed teacher-forcing interval starts at P0 = 1 (force every
+# iteration), grows by the factor ANNEAL_RATE every ``TrainConfig.anneal_gap``
+# iterations, and stops at P_MAX.  Only the pace depends on how long a run is,
+# so only ``anneal_gap`` is a setting; the start, rate and cap are the same
+# for every run.
+P0, P_MAX, ANNEAL_RATE = 1.0, 100.0, 1.1
 
 
-def anneal_interval(iteration: int, schedule: AnnealSchedule) -> float:
-    """Interval p at a given iteration: min(p0 * rate^(i/gap), p_max)."""
+def anneal_interval(iteration: int, gap: float) -> float:
+    """Interval p at a given iteration: min(P0 * ANNEAL_RATE^(i/gap), P_MAX)."""
     if iteration < 0:
         raise ValueError("iteration must be non-negative")
-    exponent = (iteration / schedule.gap) * math.log(schedule.rate)
-    if exponent >= math.log(schedule.p_max / schedule.p0):
-        return schedule.p_max
-    return schedule.p0 * math.exp(exponent)
+    exponent = (iteration / gap) * math.log(ANNEAL_RATE)
+    if exponent >= math.log(P_MAX / P0):
+        return P_MAX
+    return P0 * math.exp(exponent)
 
 
 @dataclass
@@ -80,7 +71,7 @@ class TrainConfig:
     pretrain_batch: int = 32
     dual_batch: int = 128
     reward: RewardConfig = field(default_factory=RewardConfig)
-    schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
+    anneal_gap: float = 1000.0
     ablation: str = "rl_plus_mle"
     patience: int = 1
     grad_clip: float = 5.0
@@ -93,8 +84,8 @@ class TrainConfig:
             raise ValueError(f"ablation must be one of {ABLATIONS}")
         if not (0 < self.pretrain_lr < math.inf and 0 < self.dual_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
-        if not (self.temperature > 0 and self.grad_clip > 0):
-            raise ValueError("temperature and grad_clip must be positive")
+        if not (self.temperature > 0 and self.grad_clip > 0 and self.anneal_gap > 0):
+            raise ValueError("temperature, grad_clip and anneal_gap must be positive")
         if min(self.pretrain_batch, self.dual_batch, self.max_decode_len, self.max_dual_epochs,
                1 if self.max_iterations is None else self.max_iterations) < 1:
             raise ValueError("pretrain_batch, dual_batch, max_decode_len, max_dual_epochs and "
@@ -121,7 +112,7 @@ def should_teacher_force(state: TrainState, interval: float) -> bool:
     the interval p.
 
     Well-defined for fractional p and equal to the modulo rule for integer p
-    starting from p0 = 1.  Records the iteration as the last trigger when
+    starting from ``P0`` = 1.  Records the iteration as the last trigger when
     firing.
     """
     if state.last_trigger is None or state.iteration - state.last_trigger >= interval:
@@ -407,7 +398,7 @@ def train(model_f: Seq2Seq, model_g: Seq2Seq, clf: TextClassifier,
             if state.iteration >= max_iters:
                 break
             forced = mle_on and should_teacher_force(
-                state, anneal_interval(state.iteration, cfg.schedule))
+                state, anneal_interval(state.iteration, cfg.anneal_gap))
 
             # both directions are scored before either model moves
             scored = []

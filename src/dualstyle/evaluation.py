@@ -6,7 +6,8 @@ the closest reference length (ties broken toward the shorter reference), and
 a hard zero when any n-gram order has no match corpus-wide.
 ``sentence_bleu_smoothed`` scores each candidate of a batch on its own.
 
-Both count through ``_bleu_stats``, on integer arrays: tokens are interned
+Both count through ``_bleu_stats`` and score its rows with ``_bleu``, the
+one BLEU expression.  The counts are on integer arrays: tokens are interned
 to ints, each order's n-grams get ids from ``np.unique`` on the pair (id of
 the first n-1 tokens, last token), and matches are counted and clipped by
 sorting and ``searchsorted``.  The counts are exact integers, so every
@@ -115,16 +116,9 @@ def corpus_bleu(candidates, references) -> float:
     _check_sets(candidates, references, "a candidate has no references")
     if not candidates:
         raise LengthMismatchError("empty evaluation set")
-    cand_matches, cand_totals, cand_len, closest = _bleu_stats(candidates, references)
-    matches = cand_matches.sum(axis=0).tolist()
-    totals = cand_totals.sum(axis=0).tolist()
-    cand_length = int(cand_len.sum())
-    ref_length = int(closest.sum())
-    if any(m == 0 for m in matches):
-        return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
-    bp = 1.0 if cand_length > ref_length else math.exp(1.0 - ref_length / cand_length)
-    return 100.0 * bp * math.exp(log_precision)
+    matches, totals, lengths, closest = _bleu_stats(candidates, references)
+    return _bleu(matches.sum(axis=0).tolist(), totals.sum(axis=0).tolist(),
+                 int(lengths.sum()), int(closest.sum()))
 
 
 def sentence_bleu_smoothed(candidates, references) -> list[float]:
@@ -135,20 +129,20 @@ def sentence_bleu_smoothed(candidates, references) -> list[float]:
     the reported BLEU is always the unsmoothed corpus-level score above.
     """
     _check_sets(candidates, references, "sentence BLEU needs at least one reference")
-    stats = _bleu_stats(candidates, references)
-    return [_smoothed(*row) for row in zip(*(a.tolist() for a in stats))]
+    matches, totals, lengths, closest = _bleu_stats(candidates, references)
+    add_one = np.arange(MAX_ORDER) >= 1
+    return list(map(_bleu, (matches + add_one).tolist(), (totals + add_one).tolist(),
+                    lengths.tolist(), closest.tolist()))
 
 
-def _smoothed(matches: list[int], totals: list[int], length: int, ref_len: int) -> float:
-    log_precision = 0.0
-    for n, match, total in zip(range(1, MAX_ORDER + 1), matches, totals):
-        if n >= 2:
-            match += 1
-            total += 1
-        if match == 0:
-            return 0.0
-        log_precision += math.log(match / total) / MAX_ORDER
-    bp = 1.0 if length > ref_len else math.exp(1.0 - ref_len / max(length, 1))
+def _bleu(matches: list[int], totals: list[int], length: int, ref_len: int) -> float:
+    """BLEU-4 in [0, 100] of one ``_bleu_stats`` row or their sum.  It is 0
+    when an order has no match, so ``length`` is positive wherever the
+    brevity penalty divides by it."""
+    if not all(matches):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / MAX_ORDER
+    bp = 1.0 if length > ref_len else math.exp(1.0 - ref_len / length)
     return 100.0 * bp * math.exp(log_precision)
 
 

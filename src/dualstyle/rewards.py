@@ -12,6 +12,7 @@ rewards score each distinct pair once and copy its values to the repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class RewardConfig:
     sample_size: int = 4
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
+        # combine_batch weighs by beta^2: at an infinite one every reward is NaN
+        if not (self.beta > 0 and math.isfinite(self.beta * self.beta)):
+            raise ValueError("beta must be positive, with a finite square")
         if self.sample_size < 1:
             raise ValueError("sample_size must be at least 1")
 

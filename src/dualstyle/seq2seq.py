@@ -39,9 +39,10 @@ rows it needs at each step: a decode step of 256 rows projects at most |V|
 rows (81 at desk size), and so does a teacher-forced pass over B*T rows.
 
 ``_param_shapes`` names every parameter and its shape once, in the order
-``__init__`` draws them; that order fixes every seeded model.  ``load``
-builds ``np.empty`` parameters from the same table for
-``checkpoint.load_model`` to check and fill, so a load draws nothing.
+``__init__`` draws them by ``autodiff.initial_parameters``; that order fixes
+every seeded model.  ``load`` builds ``np.empty`` parameters from the same
+table for ``checkpoint.load_model`` to check and fill, so a load draws
+nothing.
 
 Precision policy: float64 wherever a log-probability comes out, float32
 wherever only ids or gradients do.  The parameters are float64 masters, and
@@ -111,23 +112,12 @@ class Seq2Seq:
     """Single-layer LSTM encoder-decoder with bilinear attention."""
 
     def __init__(self, vocab: Vocabulary, embed_dim: int, hidden_dim: int,
-                 direction: str = "x2y", seed: int = 0,
-                 init_scale: float = 0.08, embed_scale: float = 0.01):
+                 direction: str = "x2y", seed: int = 0):
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.direction = direction
-        rng = np.random.default_rng(seed)
-
-        def draw(name, shape):
-            if name == "embed":
-                return rng.normal(0.0, embed_scale, shape)
-            if name.endswith("_b"):
-                return np.zeros(shape)
-            return rng.uniform(-init_scale, init_scale, shape)
-
-        self.params: dict[str, ad.Tensor] = {
-            name: ad.parameter(draw(name, shape)) for name, shape in self._param_shapes().items()}
+        self.params = ad.initial_parameters(self._param_shapes(), seed)
 
     def _param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Every parameter's shape by name, in the order ``__init__`` draws them."""

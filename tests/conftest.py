@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,22 @@ def tiny_classifier(tiny_task):
     clf, dev_acc = train_classifier(corpus, vocab, cfg)
     assert dev_acc >= 0.9
     return clf
+
+
+def wide_model(vocab: Vocabulary, embed_dim: int, hidden_dim: int, seed, *,
+               weights: float = 1.0, embed: float = 1.0,
+               bias_rng: np.random.Generator | None = None) -> Seq2Seq:
+    """A ``Seq2Seq`` drawn by the constructor's rule at wider scales: its
+    weights from U(-weights, weights) and its embeddings from N(0, embed),
+    bit for bit what the same seed draws at those scales.  With
+    ``bias_rng``, its four bias vectors are then drawn from N(0, 0.3) by
+    it, so that every parameter matters."""
+    with mock.patch.multiple(ad, INIT_SCALE=weights, EMBED_STD=embed):
+        model = Seq2Seq(vocab, embed_dim=embed_dim, hidden_dim=hidden_dim, seed=seed)
+    if bias_rng is not None:
+        for name in ("enc_b", "dec_b", "comb_b", "out_b"):
+            model.params[name].value = bias_rng.normal(0, 0.3, model.params[name].value.shape)
+    return model
 
 
 @pytest.fixture()

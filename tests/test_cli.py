@@ -10,7 +10,7 @@ import pytest
 from dualstyle import cli, dualrl
 from dualstyle.classifier import ClassifierConfig
 from dualstyle.corpus import EOS, SyntheticTaskSpec, epoch_batches
-from dualstyle.dualrl import AnnealSchedule, TrainConfig, evaluate_dev
+from dualstyle.dualrl import TrainConfig, evaluate_dev
 from dualstyle.errors import DualStyleError
 from dualstyle.optim import AdamState
 from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
@@ -170,6 +170,34 @@ def test_resume_refuses_a_changed_config(tmp_path, capsys):
     assert json.loads((tmp_path / "run" / "config.json").read_text())["max_dual_epochs"] == 2
 
 
+# The annealing start, rate and cap, keys of config files and run directories
+# written before they became the constants dualrl.P0, P_MAX and ANNEAL_RATE.
+REMOVED_SCHEDULE_KEYS = {"p0": 1.0, "p_max": 100.0, "anneal_rate": 1.1}
+
+
+def test_a_config_file_naming_a_removed_schedule_key_is_refused(tmp_path, capsys):
+    run = _trained_run(tmp_path, commands=("synth",))
+    for key, value in REMOVED_SCHEDULE_KEYS.items():
+        capsys.readouterr()
+        assert run(["train"], **{key: value}) == 1, key
+        assert f"error=DualStyleError detail=unknown config keys: ['{key}']" in \
+            capsys.readouterr().err, key
+    assert not (tmp_path / "run").exists()
+
+
+def test_resume_refuses_a_run_whose_config_holds_removed_schedule_keys(tmp_path, capsys):
+    run = _trained_run(tmp_path)
+    config = tmp_path / "run" / "config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), **REMOVED_SCHEDULE_KEYS}))
+    saved = {path: path.read_bytes() for path in (config, tmp_path / "run" / "events.jsonl")}
+    capsys.readouterr()
+    assert run(["train", "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert "error=DualStyleError detail=cannot resume with a changed config: " in err
+    assert all(f"{key} {value!r} -> None" in err for key, value in REMOVED_SCHEDULE_KEYS.items())
+    assert {path: path.read_bytes() for path in saved} == saved
+
+
 def test_resume_refuses_a_state_file_of_another_version(tmp_path, capsys):
     run = _trained_run(tmp_path)
     state_path = tmp_path / "run" / "checkpoints" / "state.json"
@@ -275,11 +303,12 @@ def test_train_refuses_settings_that_crash_or_corrupt_a_run_before_writing(tmp_p
     run = _trained_run(tmp_path)
     run_dir = tmp_path / "run"
     saved = {name: (run_dir / name).read_bytes() for name in ("config.json", "events.jsonl")}
-    for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"p0": 0},
-                {"p0": -1}, {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0},
-                {"patience": 0}, {"dual_lr": float("nan")}, {"anneal_rate": float("nan")},
+    # a beta whose square overflows makes every reward NaN
+    for bad in ({"temperature": 0}, {"grad_clip": -1}, {"anneal_gap": 0}, {"anneal_gap": -1},
+                {"dual_batch": 0}, {"pretrain_batch": 0}, {"max_decode_len": 0},
+                {"patience": 0}, {"dual_lr": float("nan")}, {"anneal_gap": float("nan")},
                 {"max_dual_epochs": 0}, {"max_dual_epochs": -2}, {"max_iterations": 0},
-                {"pretrain_epochs": -1}):
+                {"pretrain_epochs": -1}, {"beta": 1e200}, {"beta": float("inf")}):
         capsys.readouterr()
         assert run(["train"], **bad) == 1, bad
         assert "error=ValueError detail=" in capsys.readouterr().err, bad
@@ -304,8 +333,8 @@ ROUTED = {
     "pretrain_epochs": 6, "max_dual_epochs": 21, "max_iterations": 161, "pretrain_lr": 2e-3,
     "dual_lr": 3e-5, "pretrain_batch": 33, "dual_batch": 129, "ablation": "rl_only",
     "patience": 2, "grad_clip": 5.5, "temperature": 0.9, "max_decode_len": 31,
-    "beta": 0.6, "sample_size": 5, "p0": 1.5, "p_max": 99.0, "anneal_rate": 1.2,
-    "anneal_gap": 999.0, "cls_embed_dim": 65, "cls_channels": 34, "cls_epochs": 9,
+    "beta": 0.6, "sample_size": 5, "anneal_gap": 999.0, "cls_embed_dim": 65,
+    "cls_channels": 34, "cls_epochs": 9,
 }
 
 
@@ -322,9 +351,7 @@ def test_each_config_key_fills_exactly_its_own_field(tmp_path, monkeypatch):
 
     assert cli.task_spec(cfg) == SyntheticTaskSpec(**same_name(SyntheticTaskSpec))
     assert cli.train_config(cfg) == TrainConfig(
-        **same_name(TrainConfig), reward=RewardConfig(**same_name(RewardConfig)),
-        schedule=AnnealSchedule(**same_name(AnnealSchedule), rate=ROUTED["anneal_rate"],
-                                gap=ROUTED["anneal_gap"]))
+        **same_name(TrainConfig), reward=RewardConfig(**same_name(RewardConfig)))
 
     class Built(Exception):
         pass

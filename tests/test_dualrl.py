@@ -10,7 +10,9 @@ from dualstyle import dualrl
 from dualstyle.checkpoint import load_checkpoint
 from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import (
-    AnnealSchedule,
+    ANNEAL_RATE,
+    P0,
+    P_MAX,
     TrainConfig,
     TrainState,
     anneal_interval,
@@ -28,7 +30,7 @@ from dualstyle.pseudo import build_style_lexicon, make_pretrain_pairs
 from dualstyle.rewards import RewardConfig, combined_rewards
 from dualstyle.seq2seq import Seq2Seq
 
-from conftest import sentence
+from conftest import sentence, wide_model
 from pg_oracle import (
     build_masked_model,
     exact_gradient,
@@ -36,39 +38,35 @@ from pg_oracle import (
     reward_fn_from_table,
 )
 
-DEFAULT_SCHEDULE = AnnealSchedule()  # p0=1, p_max=100, rate=1.1, gap=1000
+DEFAULT_GAP = TrainConfig().anneal_gap  # 1000
 
 
 def test_interval_starts_at_p0():
-    assert anneal_interval(0, DEFAULT_SCHEDULE) == 1.0
+    assert (P0, P_MAX, ANNEAL_RATE) == (1.0, 100.0, 1.1)
+    assert anneal_interval(0, DEFAULT_GAP) == P0
 
 
 def test_interval_monotone_and_capped():
-    values = [anneal_interval(i, DEFAULT_SCHEDULE) for i in range(0, 100000, 500)]
+    values = [anneal_interval(i, DEFAULT_GAP) for i in range(0, 100000, 500)]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] == 100.0
+    assert values[-1] == P_MAX
 
 
 def test_interval_cap_boundary():
-    # gap * ln(p_max/p0) / ln(rate) = 48317.7: the cap binds from 48318 on
-    assert anneal_interval(48317, DEFAULT_SCHEDULE) < 100.0
-    assert anneal_interval(48318, DEFAULT_SCHEDULE) == 100.0
-    assert anneal_interval(10**9, DEFAULT_SCHEDULE) == 100.0
+    # gap * ln(P_MAX/P0) / ln(ANNEAL_RATE) = 48317.7: the cap binds from 48318 on
+    assert anneal_interval(48317, DEFAULT_GAP) < P_MAX
+    assert anneal_interval(48318, DEFAULT_GAP) == P_MAX
+    assert anneal_interval(10**9, DEFAULT_GAP) == P_MAX
 
 
 def test_schedule_validation():
-    # a NaN rate or p_max passes a plain comparison; at rate NaN teacher forcing
-    # would fire at iteration 0 only
-    for bad in ({"rate": 1.0}, {"rate": math.nan}, {"p0": 200.0, "p_max": 100.0},
-                {"p_max": math.nan}):
-        with pytest.raises(ValueError):
-            AnnealSchedule(**bad)
-    # a zero gap or p0 divides by zero in anneal_interval, a negative p0 takes a log of it
-    for bad in ({"p0": 0.0}, {"p0": -1.0}, {"gap": 0.0}, {"gap": -5.0}, {"p0": math.nan}):
-        with pytest.raises(ValueError, match="p0 and gap must be positive"):
-            AnnealSchedule(**bad)
+    # a zero gap divides by zero in anneal_interval, a negative one shrinks the
+    # interval below P0, and a NaN one passes a plain comparison
+    for gap in (0.0, -5.0, math.nan):
+        with pytest.raises(ValueError, match="anneal_gap must be positive"):
+            TrainConfig(anneal_gap=gap)
     with pytest.raises(ValueError):
-        anneal_interval(-1, DEFAULT_SCHEDULE)
+        anneal_interval(-1, DEFAULT_GAP)
 
 
 @pytest.mark.parametrize("bad", [
@@ -144,11 +142,8 @@ def test_equal_rewards_give_zero_gradient():
 def test_kept_groups_give_the_full_batch_gradient(small_vocab):
     # float64 on both sides: the kept groups alone give the full-batch
     # gradient up to summation order, zero-weight groups included or not
-    model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=6,
-                    init_scale=1.0, embed_scale=1.0)
     rng = np.random.default_rng(6)
-    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
-        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    model = wide_model(small_vocab, 8, 9, 6, bias_rng=rng)
     tokens = ("a", "b", "c", "d", "e")
 
     def sentences(n, max_len):
@@ -333,7 +328,7 @@ def mini_cfg(**kw):
     base = dict(
         max_dual_epochs=2, max_iterations=None, dual_lr=1e-3, dual_batch=64,
         reward=RewardConfig(sample_size=2),
-        schedule=AnnealSchedule(p0=1.0, p_max=100.0, rate=1.1, gap=5.0),
+        anneal_gap=5.0,
         max_decode_len=16, seed=0,
     )
     base.update(kw)
@@ -544,7 +539,7 @@ def test_each_content_reward_reads_the_opposite_model_as_the_iteration_began(
         tiny_task, warm_models, tiny_classifier, tmp_path, monkeypatch):
     corpus, gold, vocab = tiny_task
     f, g = (m.clone() for m in warm_models)
-    # p0 = 1 fires teacher forcing at iteration 0, so both models take two steps in it
+    # P0 = 1 fires teacher forcing at iteration 0, so both models take two steps in it
     cfg = mini_cfg(max_iterations=2)
     events = tmp_path / "events.jsonl"
     at_start, calls = {}, []
@@ -585,9 +580,9 @@ def test_ablation_modes_run(tiny_task, warm_models, tiny_classifier, mode, tmp_p
 def test_both_directions_share_the_annealed_teacher_forcing_trigger(
         tiny_task, warm_models, tiny_classifier, ablation, tmp_path, monkeypatch):
     corpus, gold, vocab = tiny_task
-    # intervals 1, 1.32, 1.74, 2.30, then the cap 3: triggers spaced 2, 3, 3
-    schedule = AnnealSchedule(p0=1.0, p_max=3.0, rate=2.0, gap=2.5)
-    cfg = mini_cfg(max_dual_epochs=2, patience=10, schedule=schedule, ablation=ablation)
+    # at gap 1 the interval is 1.1^i: 1, 1.1, 1.21, ..., 2.14, 2.36, so triggers
+    # are spaced 2, 2, 2, 3
+    cfg = mini_cfg(max_dual_epochs=2, patience=10, anneal_gap=1.0, ablation=ablation)
     events = tmp_path / "run" / "events.jsonl"
     forced = []
 
@@ -607,12 +602,12 @@ def test_both_directions_share_the_annealed_teacher_forcing_trigger(
         return
     expected, last = [], None
     for i in range(res.state.iteration):
-        if last is None or i - last >= anneal_interval(i, schedule):
+        if last is None or i - last >= anneal_interval(i, cfg.anneal_gap):
             expected.append(i)
             last = i
-    assert expected == [0, 2, 5, 8]
+    assert expected == [0, 2, 4, 6, 9]
     assert forced == [(i, d) for i in expected for d in ("x2y", "y2x")]
-    assert res.state.last_trigger == 8
+    assert res.state.last_trigger == 9
 
 
 def test_train_requires_frozen_classifier(tiny_task, warm_models, tmp_path):

@@ -16,20 +16,15 @@ from dualstyle.checkpoint import load_checkpoint
 from dualstyle.corpus import pad_batch
 from dualstyle.dualrl import reinforce_gradient
 from dualstyle.optim import AdamState, collect_grads
-from dualstyle.seq2seq import Seq2Seq
 
-from conftest import sentence
+from conftest import sentence, wide_model
 
 TOKENS = ("a", "b", "c", "d", "e")
 
 
 def _model(vocab, seed=21):
     """A small model with non-trivial biases, so every parameter matters."""
-    model = Seq2Seq(vocab, embed_dim=8, hidden_dim=9, seed=seed, init_scale=1.0, embed_scale=1.0)
-    rng = np.random.default_rng(seed)
-    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
-        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
-    return model
+    return wide_model(vocab, 8, 9, seed, bias_rng=np.random.default_rng(seed))
 
 
 def _sentences(vocab, seed, n, max_len=5):

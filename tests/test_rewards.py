@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualstyle import rewards
+from dualstyle import autodiff as ad, rewards
 from dualstyle.classifier import ClassifierConfig, TextClassifier
 from dualstyle.corpus import EOS, Sentence, StyleLabel
 from dualstyle.errors import EmptySequenceError
@@ -16,7 +16,7 @@ from dualstyle.rewards import (
 )
 from dualstyle.seq2seq import Seq2Seq
 
-from conftest import sentence
+from conftest import sentence, wide_model
 
 
 @pytest.fixture()
@@ -152,7 +152,7 @@ def test_combined_rewards_score_each_distinct_pair_once(small_vocab, monkeypatch
     clf = TextClassifier(small_vocab, ClassifierConfig(embed_dim=8, channels=4, seed=3))
     lin_w = clf.params["lin_w"]
     lin_w.value = np.random.default_rng(3).normal(0, 2.0, lin_w.value.shape)
-    back = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=4, init_scale=1.0)
+    back = wide_model(small_vocab, 8, 9, 4, embed=ad.EMBED_STD)
     x1, x2 = sentence(small_vocab, "a", "b"), sentence(small_vocab, "c", "d", "e")
     s1, s2 = sentence(small_vocab, "b"), sentence(small_vocab, "e", "a", "c")
     empty = Sentence(surface=(), ids=(EOS,))
@@ -193,7 +193,8 @@ def test_combined_rewards_score_each_distinct_pair_once(small_vocab, monkeypatch
 
 
 def test_reward_config_validation():
-    for beta in (0.0, -1.0, float("nan")):
+    # combine_batch weighs by beta^2, so a beta whose square overflows is refused
+    for beta in (0.0, -1.0, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError):
             RewardConfig(beta=beta)
     with pytest.raises(ValueError):

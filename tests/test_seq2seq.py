@@ -13,7 +13,7 @@ from dualstyle.errors import EmptySequenceError
 from dualstyle.optim import AdamState
 from dualstyle.seq2seq import Seq2Seq
 
-from conftest import sentence
+from conftest import sentence, wide_model
 from gradcheck import grad_check
 
 
@@ -139,11 +139,8 @@ def test_sample_frequencies_match_exact_probabilities(tiny):
 
 def test_decode_steps_run_only_the_rows_still_going(small_vocab, monkeypatch):
     # outputs of 1 to 7 ids, some cut at max_len, on both paths
-    model = Seq2Seq(small_vocab, embed_dim=8, hidden_dim=9, seed=24, init_scale=1.0,
-                    embed_scale=1.0)
     rng = np.random.default_rng(24)
-    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
-        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    model = wide_model(small_vocab, 8, 9, 24, bias_rng=rng)
     sources = [_random_sentence(small_vocab, rng, max_len=6) for _ in range(8)]
     widths = {}  # thread id -> the width of each step that thread ran
     real_step = Seq2Seq._decode_step
@@ -192,8 +189,7 @@ GOLDEN_SAMPLE_LOG_PROBS = [
 
 
 def test_halves_reproduce_the_single_pass_outputs_and_random_stream(small_vocab):
-    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=31, init_scale=0.6,
-                    embed_scale=1.0)
+    model = wide_model(small_vocab, 6, 7, 31, weights=0.6)
     # 7 sources: the calling thread decodes 4, the worker 3
     sources = [sentence(small_vocab, *words.split()) for words in
                ("a b c", "e", "d d a b c e", "b a", "c e d b", "a", "e c a d b")]
@@ -218,8 +214,7 @@ def test_halves_reproduce_the_single_pass_outputs_and_random_stream(small_vocab)
 
 def test_concurrent_callers_get_the_results_of_serial_calls(small_vocab):
     # more calling threads than cores, all sharing the one half worker
-    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=5, init_scale=0.6,
-                    embed_scale=1.0)
+    model = wide_model(small_vocab, 6, 7, 5, weights=0.6)
     rng = np.random.default_rng(5)
     sources = [_random_sentence(small_vocab, rng, max_len=6) for _ in range(9)]
 
@@ -348,10 +343,8 @@ def _reference_logits(model, src_ids, src_mask, tgt_ids):
 
 def test_teacher_forced_logits_match_per_row_reference(small_vocab):
     # repeated tokens within and across rows share one projected row each
-    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=17, embed_scale=0.5)
-    rng = np.random.default_rng(4)
-    for name in ("enc_b", "dec_b", "comb_b", "out_b"):
-        model.params[name].value = rng.normal(0, 0.3, model.params[name].value.shape)
+    model = wide_model(small_vocab, 6, 7, 17, weights=ad.INIT_SCALE, embed=0.5,
+                       bias_rng=np.random.default_rng(4))
     src_ids, src_mask = pad_batch([
         sentence(small_vocab, "a", "a", "b", "a").ids, sentence(small_vocab, "b", "a").ids,
         sentence(small_vocab, "c", "c", "c").ids,
@@ -421,8 +414,7 @@ def test_clone_and_checkpoint_round_trip(small_vocab, tmp_path):
 
 
 def test_load_draws_no_random_numbers(small_vocab, tmp_path, monkeypatch):
-    model = Seq2Seq(small_vocab, embed_dim=6, hidden_dim=7, seed=35, init_scale=0.6,
-                    embed_scale=1.0)
+    model = wide_model(small_vocab, 6, 7, 35, weights=0.6)
     model.save(tmp_path / "m.ckpt")
     sources = [sentence(small_vocab, *words.split()) for words in ("a b c", "e d", "b")]
 
